@@ -235,43 +235,12 @@ def sample_mesh_surface(mesh: TriMesh, count: int, seed: int) -> SampledPoints:
 # ---------------------------------------------------------------------------
 
 
-class GeometrySet:
-    """World triangles from several sources, tagged by owner id for ray queries."""
+def _ray_hit_distances(origins, direction, triangles, t_min: float) -> np.ndarray:
+    """(N, F) Möller–Trumbore hit distance of each origin's ray to each triangle.
 
-    def __init__(self, parts):
-        tris = []
-        owners = []
-        self.owner_ids: list[str] = []
-        for owner, mesh in parts:
-            if len(mesh) == 0:
-                continue
-            tris.append(mesh.triangles)
-            owners.append(np.full(len(mesh), len(self.owner_ids), dtype=np.int64))
-            self.owner_ids.append(owner)
-        if tris:
-            self.triangles = np.concatenate(tris)
-            self.owner_index = np.concatenate(owners)
-        else:
-            self.triangles = np.zeros((0, 3, 3))
-            self.owner_index = np.zeros(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-
-@dataclass(frozen=True)
-class RayHit:
-    point: np.ndarray
-    owner_id: str
-    distance: float
-    triangle_index: int
-
-
-def _ray_params(direction: np.ndarray, triangles: np.ndarray):
-    """Per-triangle precomputation for a shared ray direction.
-
-    Uses triple-product identities so batched origins never materialize an
-    (N, F, 3) intermediate: for origin o,
+    np.inf where the ray misses the triangle or hits it before t_min.  Uses
+    triple-product identities so the origins never materialize an (N, F, 3)
+    intermediate: for origin o,
       u*det = (o - a) . cross(dir, e2)
       v*det = (o - a) . cross(e1, dir)
       t*det = (o - a) . cross(e1, e2)
@@ -283,7 +252,14 @@ def _ray_params(direction: np.ndarray, triangles: np.ndarray):
     det = np.einsum("ij,ij->i", e1, h)
     g = np.cross(e1, np.broadcast_to(direction, e1.shape))
     n = np.cross(e1, e2)
-    return a, h, g, n, det
+    valid = np.abs(det) > 1e-12
+    safe_det = np.where(valid, det, 1.0)
+    u = (origins @ h.T - np.einsum("ij,ij->i", a, h)) / safe_det
+    v = (origins @ g.T - np.einsum("ij,ij->i", a, g)) / safe_det
+    t = (origins @ n.T - np.einsum("ij,ij->i", a, n)) / safe_det
+    eps = 1e-9
+    hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= t_min)
+    return np.where(hit, t, np.inf)
 
 
 def ray_mesh_distances(
@@ -302,21 +278,10 @@ def ray_mesh_distances(
     out = np.full(len(origins), np.inf)
     if len(triangles) == 0:
         return out
-    a, h, g, n, det = _ray_params(direction, triangles)
-    valid = np.abs(det) > 1e-12
-    safe_det = np.where(valid, det, 1.0)
-    ah = np.einsum("ij,ij->i", a, h)
-    ag = np.einsum("ij,ij->i", a, g)
-    an = np.einsum("ij,ij->i", a, n)
-    eps = 1e-9
     for s in range(0, len(origins), chunk):
-        o = origins[s : s + chunk]
-        u = (o @ h.T - ah) / safe_det
-        v = (o @ g.T - ag) / safe_det
-        t = (o @ n.T - an) / safe_det
-        hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= t_min)
-        t = np.where(hit, t, np.inf)
-        out[s : s + chunk] = t.min(axis=1)
+        out[s : s + chunk] = _ray_hit_distances(
+            origins[s : s + chunk], direction, triangles, t_min
+        ).min(axis=1)
     return out
 
 
@@ -334,55 +299,15 @@ def ray_hit_fraction(origins, direction, triangles) -> float:
     return float(np.isfinite(d).mean())
 
 
-def raycast_first_hit(origin, direction, geometry: GeometrySet, t_min: float = 1e-9):
-    """Nearest intersection of one ray with a geometry set, or None."""
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if len(geometry) == 0:
-        return None
-    a, h, g, n, det = _ray_params(direction, geometry.triangles)
-    valid = np.abs(det) > 1e-12
-    safe_det = np.where(valid, det, 1.0)
-    s = origin - a
-    u = np.einsum("ij,ij->i", s, h) / safe_det
-    v = np.einsum("ij,ij->i", s, g) / safe_det
-    t = np.einsum("ij,ij->i", s, n) / safe_det
-    eps = 1e-9
-    hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= t_min)
-    if not hit.any():
-        return None
-    t = np.where(hit, t, np.inf)
-    idx = int(np.argmin(t))
-    dist = float(t[idx])
-    return RayHit(
-        point=origin + direction * dist,
-        owner_id=geometry.owner_ids[geometry.owner_index[idx]],
-        distance=dist,
-        triangle_index=idx,
-    )
-
-
 def point_in_mesh(point, mesh: TriMesh) -> bool:
     """Ray-parity containment test for a (nominally watertight) mesh."""
-    d = _all_hit_ts(np.asarray(point, dtype=float), _PARITY_DIRECTION, mesh.triangles)
+    origin = np.asarray(point, dtype=float).reshape(1, 3)
+    d = _ray_hit_distances(origin, _PARITY_DIRECTION, mesh.triangles, 1e-9)[0]
+    d = np.sort(d[np.isfinite(d)])
     if len(d) == 0:
         return False
-    d = np.sort(d)
     keep = np.concatenate([[True], np.diff(d) > 1e-9])
     return bool(keep.sum() % 2 == 1)
-
-
-def _all_hit_ts(origin, direction, triangles, t_min: float = 1e-9) -> np.ndarray:
-    a, h, g, n, det = _ray_params(direction, triangles)
-    valid = np.abs(det) > 1e-12
-    safe_det = np.where(valid, det, 1.0)
-    s = origin - a
-    u = np.einsum("ij,ij->i", s, h) / safe_det
-    v = np.einsum("ij,ij->i", s, g) / safe_det
-    t = np.einsum("ij,ij->i", s, n) / safe_det
-    eps = 1e-9
-    hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= t_min)
-    return t[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +375,15 @@ def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray, tol: float = 1e
     return out
 
 
-def _aabb_overlapping_pairs(bounds_a: np.ndarray, bounds_b: np.ndarray, margin: float = 0.0):
-    """Index pairs (i, j) whose AABBs overlap with positive extent (+margin)."""
+def _aabb_overlapping_pairs(bounds_a: np.ndarray, bounds_b: np.ndarray):
+    """Index pairs (i, j) whose AABBs overlap or touch.
+
+    Touching counts: a flat face's triangles have zero-width boxes, and two
+    crossing faces may overlap on that axis by exactly zero.
+    """
     lo = np.maximum(bounds_a[:, None, 0], bounds_b[None, :, 0])
     hi = np.minimum(bounds_a[:, None, 1], bounds_b[None, :, 1])
-    ok = ((hi - lo) > -margin).all(axis=2)
+    ok = ((hi - lo) >= 0).all(axis=2)
     return np.nonzero(ok)
 
 
@@ -736,26 +665,33 @@ def floor_cover_mask(floor_meshes, origin, resolution, shape) -> np.ndarray:
     return points_in_triangles_2d(centers, tris).reshape(h, w)
 
 
-def rasterize_occupancy(
-    floor_meshes, wall_meshes, object_meshes, resolution: float
-) -> OccupancyMask:
-    """Occupancy mask over the floor plan.
+class SceneOccupancy:
+    """Floor-plan occupancy of a scene, kept in parts for leave-one-out masks.
 
-    A cell is occupied when the vertical projection of any object mesh or
-    wall overlaps it; cells whose center is not on a floor polygon are
-    occupied as well (they are not free space).
+    `static` holds the cells off every floor polygon and the cells walls
+    cover; `object_grids` holds each object's vertical projection and
+    `counts` how many objects cover each cell.  `mask` is the full
+    occupancy: a cell is occupied when it is static or any object covers it.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    if not floor_meshes:
-        raise ValueError("at least one floor is required")
-    origin, shape = _grid_for_floors(floor_meshes, resolution)
-    occupied = ~floor_cover_mask(floor_meshes, origin, resolution, shape)
-    blockers = list(wall_meshes) + list(object_meshes)
-    if blockers:
-        tris = np.concatenate([m.triangles[:, :, :2] for m in blockers])
-        occupied |= rasterize_triangles_2d(tris, origin, resolution, shape)
-    return OccupancyMask(resolution=resolution, origin=origin, grid=occupied)
+
+    def __init__(self, floor_meshes, wall_meshes, object_meshes: dict, resolution: float):
+        origin, shape = _grid_for_floors(floor_meshes, resolution)
+        self.static = ~floor_cover_mask(floor_meshes, origin, resolution, shape)
+        if wall_meshes:
+            tris = np.concatenate([m.triangles[:, :, :2] for m in wall_meshes])
+            self.static |= rasterize_triangles_2d(tris, origin, resolution, shape)
+        self.object_grids = {
+            obj_id: rasterize_triangles_2d(mesh.triangles[:, :, :2], origin, resolution, shape)
+            for obj_id, mesh in object_meshes.items()
+        }
+        self.counts = np.zeros(shape, dtype=np.int32)
+        for grid in self.object_grids.values():
+            self.counts += grid
+        self.mask = OccupancyMask(resolution, origin, self.static | (self.counts > 0))
+
+    def occupied_without(self, obj_id: str) -> np.ndarray:
+        """The occupancy grid with one object's footprint taken out."""
+        return self.static | ((self.counts - self.object_grids[obj_id]) > 0)
 
 
 _CROSS_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

@@ -93,25 +93,6 @@ class JudgeRequest:
 
 
 @dataclass(frozen=True)
-class SupportType:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in SUPPORT_TYPES:
-            raise ValueError(f"unknown support type '{self.kind}'")
-
-
-@dataclass(frozen=True)
-class FunctionalSides:
-    sides: tuple  # subset of front/back/left/right; empty for small objects
-
-    def __post_init__(self):
-        for side in self.sides:
-            if side not in FUNCTIONAL_SIDE_NAMES:
-                raise ValueError(f"unknown functional side '{side}'")
-
-
-@dataclass(frozen=True)
 class RelationMapping:
     """Judge-mapped object-object relation: catalogue types plus sides."""
 
@@ -504,7 +485,6 @@ class CachingJudge(Judge):
         self.inner = inner
         self.transcript_path = Path(transcript_path) if transcript_path else None
         self._cache: dict[str, dict] = {}
-        self._meta: dict[str, JudgeRequest] = {}
         self._lock = threading.Lock()
         for record in preload or []:
             self._cache[record["hash"]] = record["response"]
@@ -524,7 +504,6 @@ class CachingJudge(Judge):
         with self._lock:
             if key not in self._cache:
                 self._cache[key] = response
-                self._meta[key] = request
                 if self.transcript_path:
                     record = {
                         "hash": key,

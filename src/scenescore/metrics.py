@@ -24,20 +24,17 @@ from .annotations import (
 )
 from .geometry import (
     RAY_ORIGIN_BACKOFF,
-    GeometrySet,
+    SceneOccupancy,
     cells_in_rect,
     closest_surface_distance,
     derive_seed,
     flood_components,
-    floor_cover_mask,
     mesh_pair_intersects,
     ray_hit_fraction,
     ray_mesh_distances,
-    rasterize_triangles_2d,
     sample_mesh_surface,
     sample_points_obb,
     support_hull_check,
-    _grid_for_floors,
 )
 from .judge import (
     ArchMapping,
@@ -522,14 +519,13 @@ def support_contacts(
     verts = obj.world_mesh.vertices
     proj = verts @ direction
     support_verts = verts[proj >= proj.max() - SUPPORT_VERTEX_TOLERANCE]
-    others = GeometrySet(
-        [(o.id, o.world_mesh) for o in scene.objects if o.id != obj.id]
-        + [(a.id, a.mesh) for a in scene.architecture]
+    others = np.concatenate(
+        [np.zeros((0, 3, 3))]  # there may be no other geometry at all
+        + [o.world_mesh.triangles for o in scene.objects if o.id != obj.id]
+        + [a.mesh.triangles for a in scene.architecture]
     )
-    if len(others) == 0:
-        return np.zeros((0, 3))
     origins = support_verts - direction * RAY_ORIGIN_BACKOFF
-    ts = ray_mesh_distances(origins, direction, others.triangles)
+    ts = ray_mesh_distances(origins, direction, others)
     contact = (ts - RAY_ORIGIN_BACKOFF) <= SUPPORT_CONTACT_DISTANCE
     return origins[contact] + ts[contact, None] * direction
 
@@ -558,10 +554,9 @@ def eval_support(scene: SceneInstance, judge: Judge):
     return percent, verdicts, types
 
 
-def eval_navigability(scene: SceneInstance, resolution: float):
+def eval_navigability(occupancy: SceneOccupancy):
     """Largest free component over total free cells; 0 when nothing is free."""
-    mask = scene.occupancy(resolution)
-    sizes = flood_components(mask)
+    sizes = flood_components(occupancy.mask)
     total = sum(sizes)
     if total == 0:
         return 0.0, {"largest": 0, "total_free": 0, "degenerate": True}
@@ -581,44 +576,8 @@ def _front_axes_2d(obj: ObjectInstance):
     return r2, f2
 
 
-class _OccupancyParts:
-    """Static occupancy plus per-object footprints, for leave-one-out masks."""
-
-    def __init__(self, scene: SceneInstance, resolution: float):
-        floors = [f.mesh for f in scene.floors]
-        if not floors:
-            raise ValueError("accessibility needs at least one floor")
-        self.resolution = resolution
-        self.origin, self.shape = _grid_for_floors(floors, resolution)
-        static = ~floor_cover_mask(floors, self.origin, resolution, self.shape)
-        walls = [w.mesh for w in scene.walls]
-        if walls:
-            tris = np.concatenate([m.triangles[:, :, :2] for m in walls])
-            static |= rasterize_triangles_2d(tris, self.origin, resolution, self.shape)
-        self.static = static
-        self.object_grids = {
-            o.id: rasterize_triangles_2d(
-                o.world_mesh.triangles[:, :, :2], self.origin, resolution, self.shape
-            )
-            for o in scene.objects
-        }
-        counts = np.zeros(self.shape, dtype=np.int32)
-        for grid in self.object_grids.values():
-            counts += grid
-        self.counts = counts
-
-    def occupied_without(self, obj_id: str) -> np.ndarray:
-        counts = self.counts - self.object_grids[obj_id]
-        return self.static | (counts > 0)
-
-    def mask_like(self):
-        from .geometry import OccupancyMask
-
-        return OccupancyMask(self.resolution, self.origin, np.zeros(self.shape, dtype=bool))
-
-
 def side_band_score(
-    parts: _OccupancyParts, obj: ObjectInstance, side: str, depth: float
+    occupancy: SceneOccupancy, obj: ObjectInstance, side: str, depth: float
 ) -> float:
     """Free fraction of the probe band outside one lateral side of the object."""
     r2, f2 = _front_axes_2d(obj)
@@ -637,18 +596,19 @@ def side_band_score(
         band_center, half_sizes = center - r2 * (e_r + half), (half, e_f)
     else:
         raise ValueError(f"not a lateral side: '{side}'")
-    band = cells_in_rect(parts.mask_like(), band_center, (r2, f2), half_sizes)
+    band = cells_in_rect(occupancy.mask, band_center, (r2, f2), half_sizes)
     total = int(band.sum())
     if total == 0:
         return 1.0  # band thinner than a cell: nothing can block it
-    occupied = parts.occupied_without(obj.id)
+    occupied = occupancy.occupied_without(obj.id)
     return float((band & ~occupied).sum() / total)
 
 
-def eval_accessibility(scene: SceneInstance, judge: Judge, config: EvalConfig):
+def eval_accessibility(
+    scene: SceneInstance, occupancy: SceneOccupancy, judge: Judge, config: EvalConfig
+):
     """Best free-side fraction per object; objects with no functional sides
     are excluded from the mean."""
-    parts = _OccupancyParts(scene, config.resolution)
     scores = {}
     sides_by_object = {}
     for obj in scene.objects:
@@ -664,7 +624,7 @@ def eval_accessibility(scene: SceneInstance, judge: Judge, config: EvalConfig):
             scores[obj.id] = None
             continue
         scores[obj.id] = max(
-            side_band_score(parts, obj, side, config.acc_probe_depth) for side in sides
+            side_band_score(occupancy, obj, side, config.acc_probe_depth) for side in sides
         )
     scored = [v for v in scores.values() if v is not None]
     mean = sum(scored) / len(scored) if scored else None
@@ -839,13 +799,17 @@ def evaluate_scene(
         support_types = None
         report.errors["sup"] = str(exc)
     try:
-        report.nav, report.nav_detail = eval_navigability(scene, config.resolution)
+        occupancy = scene.occupancy(config.resolution)
     except ValueError as exc:
-        report.errors["nav"] = str(exc)
-    try:
-        report.acc_scores, report.acc, _ = eval_accessibility(scene, recording, config)
-    except (JudgeError, ValueError) as exc:
-        report.errors["acc"] = str(exc)
+        report.errors["nav"] = report.errors["acc"] = str(exc)
+    else:
+        report.nav, report.nav_detail = eval_navigability(occupancy)
+        try:
+            report.acc_scores, report.acc, _ = eval_accessibility(
+                scene, occupancy, recording, config
+            )
+        except (JudgeError, ValueError) as exc:
+            report.errors["acc"] = str(exc)
     try:
         report.oob, report.oob_flags = eval_oob(scene, config, support_types)
     except ValueError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,8 +108,8 @@ ON_WALL_BAND = DistanceBand(0.0, 0.01, 0.01)
 AGAINST_WALL_BAND = DistanceBand(0.0, 0.3, 0.1)
 HANG_CEILING_BAND = DistanceBand(0.0, 0.01, 0.03)
 
-# Machine-readable constants table (kept in sync with the scorers above by
-# construction; documentation tests assert against it).
+# Machine-readable constants table, built from the scorers' constants above;
+# documentation tests assert against it.
 RELATION_CONSTANTS = {
     "threshold": POSITIVITY_THRESHOLD,
     "side_of_extension": SIDE_OF_EXTENSION,
@@ -117,14 +117,14 @@ RELATION_CONSTANTS = {
     "middle_of_sigma": MIDDLE_OF_SIGMA,
     "corner_perpendicular_dot": CORNER_PERPENDICULAR_DOT,
     "bands": {
-        "next_to": {"lo": 0.0, "hi": 0.5, "sigma": 0.25},
-        "near": {"lo": 0.5, "hi": 1.5, "sigma": 0.25},
-        "across": {"lo": 1.5, "hi": 4.0, "sigma": 0.25},
-        "far": {"lo": 4.0, "hi": math.inf, "sigma": 0.25},
-        "corner_room": {"lo": 0.0, "hi": 0.8, "sigma": 0.25},
-        "on_wall": {"lo": 0.0, "hi": 0.01, "sigma": 0.01},
-        "against_wall": {"lo": 0.0, "hi": 0.3, "sigma": 0.1},
-        "hang_ceiling": {"lo": 0.0, "hi": 0.01, "sigma": 0.03},
+        name: asdict(band)
+        for name, band in {
+            **DISTANCE_BANDS,
+            "corner_room": CORNER_WALL_BAND,
+            "on_wall": ON_WALL_BAND,
+            "against_wall": AGAINST_WALL_BAND,
+            "hang_ceiling": HANG_CEILING_BAND,
+        }.items()
     },
 }
 

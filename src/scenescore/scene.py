@@ -18,14 +18,13 @@ import numpy as np
 
 from . import meshio
 from .geometry import (
-    GeometrySet,
     OrientedBox,
+    SceneOccupancy,
     TriMesh,
     closest_surface_distance,
     points_in_triangles_2d,
     polygon_planarity,
     polygon_to_mesh,
-    rasterize_occupancy,
 )
 
 logger = logging.getLogger(__name__)
@@ -121,19 +120,16 @@ class SceneInstance:
     def room_walls(self, room: RoomRegion) -> list[ArchElement]:
         return [self._arch_by_id[i] for i in room.wall_ids]
 
-    def object_geometry(self, exclude_ids=()) -> GeometrySet:
-        ex = set(exclude_ids)
-        return GeometrySet([(o.id, o.world_mesh) for o in self.objects if o.id not in ex])
-
-    def arch_geometry(self, kinds=None) -> GeometrySet:
-        kinds = set(kinds) if kinds is not None else set(ARCH_KINDS)
-        return GeometrySet([(a.id, a.mesh) for a in self.architecture if a.kind in kinds])
-
-    def occupancy(self, resolution: float):
-        return rasterize_occupancy(
+    def occupancy(self, resolution: float) -> SceneOccupancy:
+        """The scene's floor-plan occupancy at `resolution` meters per cell."""
+        if resolution <= 0:
+            raise ValueError("resolution must be > 0")
+        if not self.floors:
+            raise ValueError("at least one floor is required")
+        return SceneOccupancy(
             [f.mesh for f in self.floors],
             [w.mesh for w in self.walls],
-            [o.world_mesh for o in self.objects],
+            {o.id: o.world_mesh for o in self.objects},
             resolution,
         )
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenescore.geometry import (
-    GeometrySet,
     OccupancyMask,
     OrientedBox,
+    SceneOccupancy,
     TriMesh,
     box_mesh,
     cells_in_rect,
@@ -16,10 +16,8 @@ from scenescore.geometry import (
     mesh_pair_intersects,
     point_in_mesh,
     polygon_to_mesh,
-    rasterize_occupancy,
     ray_hit_fraction,
     ray_mesh_distances,
-    raycast_first_hit,
     sample_mesh_surface,
     sample_points_obb,
     support_hull_check,
@@ -117,28 +115,26 @@ class TestSampling:
 class TestRaycast:
     def test_floor_hit(self):
         floor = polygon_to_mesh([[-5, -5, 0], [5, -5, 0], [5, 5, 0], [-5, 5, 0]])
-        geo = GeometrySet([("floor", floor)])
-        hit = raycast_first_hit([0, 0, 1], [0, 0, -1], geo)
-        assert hit is not None
-        assert hit.owner_id == "floor"
-        assert hit.distance == pytest.approx(1.0)
-        np.testing.assert_allclose(hit.point, [0, 0, 0], atol=1e-12)
+        d = ray_mesh_distances([0, 0, 1], [0, 0, -1], floor.triangles)
+        assert d.shape == (1,)
+        assert d[0] == pytest.approx(1.0)
 
     def test_miss(self):
         floor = polygon_to_mesh([[-5, -5, 0], [5, -5, 0], [5, 5, 0], [-5, 5, 0]])
-        geo = GeometrySet([("floor", floor)])
-        assert raycast_first_hit([0, 0, 1], [0, 0, 1], geo) is None
+        d = ray_mesh_distances([0, 0, 1], [0, 0, 1], floor.triangles)
+        assert d[0] == np.inf
 
     def test_nearer_of_two_floors(self):
         lower = polygon_to_mesh([[-5, -5, 0], [5, -5, 0], [5, 5, 0], [-5, 5, 0]])
         upper = polygon_to_mesh([[-5, -5, 0.4], [5, -5, 0.4], [5, 5, 0.4], [-5, 5, 0.4]])
-        geo = GeometrySet([("lower", lower), ("upper", upper)])
-        hit = raycast_first_hit([0.3, -0.2, 1.0], [0, 0, -1], geo)
-        assert hit.owner_id == "upper"
-        assert hit.distance == pytest.approx(0.6)
-        # brute force: the reported hit must be the min over every triangle
-        ts = ray_mesh_distances(np.array([[0.3, -0.2, 1.0]]), [0, 0, -1], geo.triangles)
-        assert hit.distance == pytest.approx(float(ts[0]))
+        tris = np.concatenate([lower.triangles, upper.triangles])
+        d = ray_mesh_distances([0.3, -0.2, 1.0], [0, 0, -1], tris)
+        assert d[0] == pytest.approx(0.6)
+        # each floor on its own: the upper one is the nearer hit
+        assert ray_mesh_distances([0.3, -0.2, 1.0], [0, 0, -1], lower.triangles)[0] == (
+            pytest.approx(1.0)
+        )
+        assert ray_mesh_distances([0.3, -0.2, 1.0], [0, 0, -1], upper.triangles)[0] == d[0]
 
     def test_hit_fraction(self):
         floor = polygon_to_mesh([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]])
@@ -157,6 +153,12 @@ class TestMeshIntersection:
         a = box_mesh([1, 1, 1], center=[0, 0, 0])
         b = box_mesh([1, 1, 1], center=[0.5, 0, 0])
         assert mesh_pair_intersects(a, b)
+        # Crossed boxes: no vertex lies inside the other box, and the side
+        # faces that cross have zero-width triangle bounds on one axis.
+        a = box_mesh([2.0, 0.4, 1.0], center=[0, 0, 0.5])
+        b = box_mesh([0.4, 2.0, 1.0], center=[0, 0, 0.5])
+        assert mesh_pair_intersects(a, b)
+        assert mesh_pair_intersects(b, a)
 
     def test_touching_cubes_share_face(self):
         a = box_mesh([1, 1, 1], center=[0, 0, 0])
@@ -274,7 +276,7 @@ class TestOccupancy:
 
     def test_empty_room_no_interior_occupancy(self):
         floor = self._square_room()
-        mask = rasterize_occupancy([floor], [], [], 0.05)
+        mask = SceneOccupancy([floor], [], {}, 0.05).mask
         xs, ys = mask.cell_centers()
         inside = (
             (xs[None, :] > 0) & (xs[None, :] < 6) & (ys[:, None] > 0) & (ys[:, None] < 6)
@@ -285,7 +287,7 @@ class TestOccupancy:
     def test_single_box_cell_count(self):
         floor = self._square_room()
         obj = box_mesh([1, 1, 1], center=[3, 3, 0.5])
-        mask = rasterize_occupancy([floor], [], [obj], 0.05)
+        mask = SceneOccupancy([floor], [], {"box": obj}, 0.05).mask
         occupied = int(mask.grid.sum() - (~floor_cover(mask, floor)).sum())
         # analytic 1 m^2 / 0.0025 m^2 = 400, allow one boundary ring (~84 cells)
         assert abs(occupied - 400) <= 84
@@ -293,7 +295,7 @@ class TestOccupancy:
     def test_wall_band(self):
         floor = self._square_room()
         wall = box_mesh([6, 0.1, 2.5], center=[3, 3, 1.25])
-        mask = rasterize_occupancy([floor], [wall], [], 0.05)
+        mask = SceneOccupancy([floor], [wall], {}, 0.05).mask
         row = int((3.0 - mask.origin[1]) / 0.05)
         assert mask.grid[row, 1:-1].all()
 

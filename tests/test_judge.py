@@ -6,7 +6,6 @@ import pytest
 
 from scenescore.judge import (
     CachingJudge,
-    FunctionalSides,
     JudgeError,
     JudgeRequest,
     MalformedJudgment,
@@ -14,7 +13,6 @@ from scenescore.judge import (
     MockJudge,
     RemoteJudge,
     RemoteJudgeConfig,
-    SupportType,
     load_prompt,
     load_transcript,
     oa_mapping_from_response,
@@ -372,16 +370,3 @@ class TestRemoteJudge:
                                               max_retries=2, backoff_seconds=0.01))
         with pytest.raises(JudgeError, match="failed after 2 attempts"):
             judge.judge(match_request())
-
-
-class TestTypedWrappers:
-    def test_support_type_enum(self):
-        assert SupportType("ground").kind == "ground"
-        with pytest.raises(ValueError):
-            SupportType("floor")
-
-    def test_functional_sides_subset(self):
-        assert FunctionalSides(("front",)).sides == ("front",)
-        assert FunctionalSides(()).sides == ()
-        with pytest.raises(ValueError):
-            FunctionalSides(("top",))

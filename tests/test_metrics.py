@@ -25,7 +25,6 @@ from scenescore.metrics import (
     side_band_score,
     support_contacts,
     support_direction,
-    _OccupancyParts,
 )
 from scenescore.scene import SceneInstance
 
@@ -426,21 +425,21 @@ class TestSupport:
 class TestNavigability:
     def test_empty_room(self):
         scene = make_room_scene()
-        nav, detail = eval_navigability(scene, 0.05)
+        nav, detail = eval_navigability(scene.occupancy(0.05))
         assert nav == 1.0 and not detail["degenerate"]
 
     def test_bisected_room(self):
         # wall-to-wall sofa splits the 6 m room at y = 3.6 into 60/40
         sofa = make_box_object("s", [6.0, 0.8, 0.8], [3, 3.6, 0.4])
         scene = make_room_scene(objects=[sofa])
-        nav, _ = eval_navigability(scene, 0.05)
+        nav, _ = eval_navigability(scene.occupancy(0.05))
         free_below = (3.6 - 0.4) / (6 - 0.8)  # fraction of free area below the sofa
         assert nav == pytest.approx(free_below, abs=0.01)
 
     def test_fully_occupied(self):
         slab = make_box_object("slab", [6.2, 6.2, 0.5], [3, 3, 0.25])
         scene = make_room_scene(objects=[slab])
-        nav, detail = eval_navigability(scene, 0.05)
+        nav, detail = eval_navigability(scene.occupancy(0.05))
         assert nav == 0.0 and detail["degenerate"]
 
 
@@ -449,7 +448,8 @@ class TestAccessibility:
         sofa = make_box_object("s", [2, 0.9, 0.8], [3, 1.0, 0.4], description="sofa")
         scene = make_room_scene(objects=[sofa])
         judge = MockJudge([sides_row("sofa", ["front"])])
-        scores, mean, _ = eval_accessibility(scene, judge, CONFIG)
+        occupancy = scene.occupancy(CONFIG.resolution)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
         assert scores["s"] == 1.0 and mean == 1.0
 
     def test_wardrobe_flush_blocked(self):
@@ -458,7 +458,8 @@ class TestAccessibility:
                              yaw=180)  # flush against w1's front
         scene = make_room_scene(objects=[w1, w2])
         judge = MockJudge([sides_row("wardrobe", ["front"]), sides_row("blocker", [])])
-        scores, mean, _ = eval_accessibility(scene, judge, CONFIG)
+        occupancy = scene.occupancy(CONFIG.resolution)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
         assert scores["w1"] == 0.0
         assert scores["w2"] is None  # no functional sides: excluded
         assert mean == 0.0
@@ -469,7 +470,8 @@ class TestAccessibility:
                                   description="chest")  # blocks the left side
         scene = make_room_scene(objects=[bed, blocker])
         judge = MockJudge([sides_row("bed", ["left", "right"]), sides_row("chest", [])])
-        scores, mean, _ = eval_accessibility(scene, judge, CONFIG)
+        occupancy = scene.occupancy(CONFIG.resolution)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
         assert scores["b"] == 1.0  # right side is free
 
     def test_band_score_partially_blocked(self):
@@ -477,9 +479,22 @@ class TestAccessibility:
         table = make_box_object("t", [2, 0.4, 0.4], [3, 1.0 + 0.45 + 0.2 + 0.05, 0.2],
                                 description="table")
         scene = make_room_scene(objects=[sofa, table])
-        parts = _OccupancyParts(scene, 0.05)
-        s = side_band_score(parts, sofa, "front", 0.5)
+        s = side_band_score(scene.occupancy(0.05), sofa, "front", 0.5)
         assert 0.0 < s < 1.0
+
+    def test_leave_one_out_restores_full_mask(self):
+        # overlapping, rotated and wall-crossing footprints
+        objs = [
+            make_box_object("a", [2, 0.9, 0.8], [3, 1.0, 0.4]),
+            make_box_object("b", [1, 1, 0.5], [3.5, 1.2, 0.25]),
+            make_box_object("c", [1, 1, 1], [4.5, 3, 0.5], yaw=30),
+            make_box_object("d", [1, 1, 1], [5.5, 3, 0.5]),
+            make_box_object("e", [1, 1, 1], [6.0, 5.5, 0.5]),
+        ]
+        occupancy = make_room_scene(objects=objs).occupancy(0.05)
+        for o in objs:
+            restored = occupancy.occupied_without(o.id) | occupancy.object_grids[o.id]
+            np.testing.assert_array_equal(restored, occupancy.mask.grid)
 
 
 class TestOOB:
@@ -628,6 +643,26 @@ class TestEvaluateScene:
         assert report.col_ob == 0.0 and report.col_sc is False
         assert report.nav == 1.0
         assert report.sup is None and report.acc is None and report.oob is None
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.05])
+    def test_non_positive_resolution_recorded(self, resolution):
+        scene, entry, judge = full_fixture()
+        # without functional-sides rows, an ACC judge call would be the error
+        judge.table = {k: v for k, v in judge.table.items() if k[0] != "functional_sides"}
+        config = EvalConfig(samples=CONFIG.samples, seed=CONFIG.seed, resolution=resolution)
+        report = evaluate_scene(scene, entry, judge, config)
+        assert report.errors == {
+            "nav": "resolution must be > 0",
+            "acc": "resolution must be > 0",
+        }
+        assert report.nav is None and report.acc is None
+        assert report.cnt_percent == 100.0 and report.oob == 0.0
+
+    def test_floorless_scene_recorded(self):
+        scene, entry, judge = full_fixture()
+        scene = SceneInstance(scene.objects, scene.walls, [])
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert report.errors["nav"] == report.errors["acc"] == "at least one floor is required"
 
     def test_judge_failure_recorded_not_fatal(self):
         scene, entry, _ = full_fixture()
