@@ -25,6 +25,13 @@ MIN_TRIANGLE_AREA = 1e-12  # m^2; triangles below this are dropped at load
 # Rays start this far behind their origin so an origin lying on the target
 # surface (an object resting on the floor) still hits it.
 RAY_ORIGIN_BACKOFF = 1e-6  # m
+RAY_T_MIN = 1e-9  # m; hits nearer than this along the ray are ignored
+RAY_CHUNK = 512  # rays per (N, F) distance block
+TRI_TOUCH_TOL = 1e-10  # m; plane distances within this count as touching
+SUPPORT_HULL_TOL = 1e-6  # m; centroid distance allowed from a degenerate hull
+# Floor-plan grids hold one bool grid per object besides the scene grids, so
+# a floor given in the wrong units must fail before any of them is allocated.
+MAX_OCCUPANCY_CELLS = 2**22
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -83,9 +90,9 @@ class TriMesh:
     def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "TriMesh":
         return TriMesh(self.vertices @ np.asarray(rotation).T + np.asarray(translation), self.faces)
 
-    def without_degenerate_triangles(self, min_area: float = MIN_TRIANGLE_AREA):
-        """Return (mesh, dropped_count) with sub-minimal-area triangles removed."""
-        keep = self.areas > min_area
+    def without_degenerate_triangles(self):
+        """Return (mesh, dropped_count) with triangles of area <= MIN_TRIANGLE_AREA removed."""
+        keep = self.areas > MIN_TRIANGLE_AREA
         if keep.all():
             return self, 0
         return TriMesh(self.vertices, self.faces[keep]), int((~keep).sum())
@@ -162,10 +169,6 @@ class OrientedBox:
         )
         return self.to_world(signs * self.half_extents)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half_extents))
-
     def footprint_frame_2d(self):
         """2D frame for the box footprint: (right_2d, forward_2d, half_x, half_y).
 
@@ -195,25 +198,17 @@ class OrientedBox:
         return (a, b) if a >= b else (b, a)
 
 
-@dataclass(frozen=True)
-class SampledPoints:
-    """Reproducible point sample: same (region, count, seed) gives same points."""
-
-    points: np.ndarray
-    seed: int
-
-
-def sample_points_obb(box: OrientedBox, count: int, seed: int) -> SampledPoints:
-    """Uniform points in the volume of an oriented box, deterministic per seed."""
+def sample_points_obb(box: OrientedBox, count: int, seed: int) -> np.ndarray:
+    """(count, 3) uniform points in the volume of an oriented box, deterministic per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     local = rng.uniform(-1.0, 1.0, size=(count, 3)) * box.half_extents
-    return SampledPoints(box.to_world(local), seed)
+    return box.to_world(local)
 
 
-def sample_mesh_surface(mesh: TriMesh, count: int, seed: int) -> SampledPoints:
-    """Area-weighted uniform points on a mesh surface."""
+def sample_mesh_surface(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
+    """(count, 3) area-weighted uniform points on a mesh surface, deterministic per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -226,8 +221,7 @@ def sample_mesh_surface(mesh: TriMesh, count: int, seed: int) -> SampledPoints:
     u = np.where(flip, 1.0 - u, u)
     v = np.where(flip, 1.0 - v, v)
     t = mesh.triangles[idx]
-    pts = t[:, 0] + u * (t[:, 1] - t[:, 0]) + v * (t[:, 2] - t[:, 0])
-    return SampledPoints(pts, seed)
+    return t[:, 0] + u * (t[:, 1] - t[:, 0]) + v * (t[:, 2] - t[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +229,10 @@ def sample_mesh_surface(mesh: TriMesh, count: int, seed: int) -> SampledPoints:
 # ---------------------------------------------------------------------------
 
 
-def _ray_hit_distances(origins, direction, triangles, t_min: float) -> np.ndarray:
+def _ray_hit_distances(origins, direction, triangles) -> np.ndarray:
     """(N, F) Möller–Trumbore hit distance of each origin's ray to each triangle.
 
-    np.inf where the ray misses the triangle or hits it before t_min.  Uses
+    np.inf where the ray misses the triangle or hits it before RAY_T_MIN.  Uses
     triple-product identities so the origins never materialize an (N, F, 3)
     intermediate: for origin o,
       u*det = (o - a) . cross(dir, e2)
@@ -258,16 +252,12 @@ def _ray_hit_distances(origins, direction, triangles, t_min: float) -> np.ndarra
     v = (origins @ g.T - np.einsum("ij,ij->i", a, g)) / safe_det
     t = (origins @ n.T - np.einsum("ij,ij->i", a, n)) / safe_det
     eps = 1e-9
-    hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= t_min)
+    hit = valid & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t >= RAY_T_MIN)
     return np.where(hit, t, np.inf)
 
 
 def ray_mesh_distances(
-    origins: np.ndarray,
-    direction: np.ndarray,
-    triangles: np.ndarray,
-    t_min: float = 1e-9,
-    chunk: int = 512,
+    origins: np.ndarray, direction: np.ndarray, triangles: np.ndarray
 ) -> np.ndarray:
     """Nearest hit distance along a shared direction for each origin.
 
@@ -278,9 +268,9 @@ def ray_mesh_distances(
     out = np.full(len(origins), np.inf)
     if len(triangles) == 0:
         return out
-    for s in range(0, len(origins), chunk):
-        out[s : s + chunk] = _ray_hit_distances(
-            origins[s : s + chunk], direction, triangles, t_min
+    for s in range(0, len(origins), RAY_CHUNK):
+        out[s : s + RAY_CHUNK] = _ray_hit_distances(
+            origins[s : s + RAY_CHUNK], direction, triangles
         ).min(axis=1)
     return out
 
@@ -302,7 +292,7 @@ def ray_hit_fraction(origins, direction, triangles) -> float:
 def point_in_mesh(point, mesh: TriMesh) -> bool:
     """Ray-parity containment test for a (nominally watertight) mesh."""
     origin = np.asarray(point, dtype=float).reshape(1, 3)
-    d = _ray_hit_distances(origin, _PARITY_DIRECTION, mesh.triangles, 1e-9)[0]
+    d = _ray_hit_distances(origin, _PARITY_DIRECTION, mesh.triangles)[0]
     d = np.sort(d[np.isfinite(d)])
     if len(d) == 0:
         return False
@@ -342,7 +332,7 @@ def _plane_interval(tri, dists, line_dir, tol):
     return lo, hi
 
 
-def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray) -> np.ndarray:
     """True where triangle pairs overlap with positive penetration.
 
     Touching contact (shared faces, edges, or vertices) and coplanar overlap
@@ -359,8 +349,8 @@ def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray, tol: float = 1e
 
     d2 = np.einsum("kj,kij->ki", n1, tri2 - tri1[:, :1])  # tri2 verts vs plane1
     d1 = np.einsum("kj,kij->ki", n2, tri1 - tri2[:, :1])  # tri1 verts vs plane2
-    cross1 = (d1 > tol).any(axis=1) & (d1 < -tol).any(axis=1)
-    cross2 = (d2 > tol).any(axis=1) & (d2 < -tol).any(axis=1)
+    cross1 = (d1 > TRI_TOUCH_TOL).any(axis=1) & (d1 < -TRI_TOUCH_TOL).any(axis=1)
+    cross2 = (d2 > TRI_TOUCH_TOL).any(axis=1) & (d2 < -TRI_TOUCH_TOL).any(axis=1)
     cand = cross1 & cross2
     out = np.zeros(len(tri1), dtype=bool)
     if not cand.any():
@@ -369,9 +359,9 @@ def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray, tol: float = 1e
     line = np.cross(n1[cand], n2[cand])
     norm = np.linalg.norm(line, axis=1, keepdims=True)
     line = line / np.maximum(norm, 1e-300)
-    lo1, hi1 = _plane_interval(tri1[cand], d1[cand], line, tol)
-    lo2, hi2 = _plane_interval(tri2[cand], d2[cand], line, tol)
-    out[cand] = np.maximum(lo1, lo2) < np.minimum(hi1, hi2) - tol
+    lo1, hi1 = _plane_interval(tri1[cand], d1[cand], line, TRI_TOUCH_TOL)
+    lo2, hi2 = _plane_interval(tri2[cand], d2[cand], line, TRI_TOUCH_TOL)
+    out[cand] = np.maximum(lo1, lo2) < np.minimum(hi1, hi2) - TRI_TOUCH_TOL
     return out
 
 
@@ -579,6 +569,11 @@ def _grid_for_floors(floor_meshes, resolution):
     origin = lo - resolution
     w = int(math.ceil((hi[0] - lo[0]) / resolution)) + 2
     h = int(math.ceil((hi[1] - lo[1]) / resolution)) + 2
+    if h * w > MAX_OCCUPANCY_CELLS:
+        raise ValueError(
+            f"occupancy grid of {h} x {w} cells at resolution {resolution} m exceeds "
+            f"{MAX_OCCUPANCY_CELLS} cells (floor extent {hi[0] - lo[0]:g} x {hi[1] - lo[1]:g} m)"
+        )
     return origin, (h, w)
 
 
@@ -723,12 +718,12 @@ def cells_in_rect(
 # ---------------------------------------------------------------------------
 
 
-def support_hull_check(contact_points, centroid_2d, tol: float = 1e-6) -> bool:
+def support_hull_check(contact_points, centroid_2d) -> bool:
     """True when the 2D centroid projection lies in the convex hull of contacts.
 
     Fewer than three non-collinear contacts form no polygon: the check then
-    passes only when the centroid is within `tol` of the contact segment or
-    point.
+    passes only when the centroid is within SUPPORT_HULL_TOL of the contact
+    segment or point.
     """
     pts = np.asarray(contact_points, dtype=float).reshape(-1, 2)
     c = np.asarray(centroid_2d, dtype=float)
@@ -741,7 +736,7 @@ def support_hull_check(contact_points, centroid_2d, tol: float = 1e-6) -> bool:
             return bool((eq[:, :2] @ c + eq[:, 2] <= 1e-9).all())
         except QhullError:
             pass  # collinear; fall through to the segment test
-    return _near_segment(pts, c, tol)
+    return _near_segment(pts, c, SUPPORT_HULL_TOL)
 
 
 def _near_segment(pts: np.ndarray, c: np.ndarray, tol: float) -> bool:

@@ -16,7 +16,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -90,35 +90,6 @@ class JudgeRequest:
             h.update(b"\x00")
             h.update(str(ref).encode())
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class RelationMapping:
-    """Judge-mapped object-object relation: catalogue types plus sides."""
-
-    relation_text: str
-    mapped_types: tuple          # internal OO relation names; empty iff unmappable
-    sides: tuple                 # parallel to mapped_types; None where unused
-    anchor_category: str
-    other_categories: tuple
-    other_counts: tuple
-    reason: str = ""
-
-    @property
-    def unmappable(self) -> bool:
-        return not self.mapped_types
-
-
-@dataclass(frozen=True)
-class ArchMapping:
-    """Judge-mapped object-architecture relation (exactly one catalogue type)."""
-
-    relation_text: str
-    mapped_type: str | None      # internal OA relation name; None when unmappable
-    arch_type: str
-    specific_floors: tuple       # floor ids; empty means every floor qualifies
-    side: str | None = None
-    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +236,6 @@ def _validate_oa_mapping(request, response, h) -> dict:
     }
 
 
-def oo_mapping_from_response(relation_text: str, response: dict) -> RelationMapping:
-    if response.get("relation_types") is None:
-        return RelationMapping(
-            relation_text=relation_text, mapped_types=(), sides=(),
-            anchor_category="", other_categories=(), other_counts=(),
-            reason=response.get("reason", ""),
-        )
-    return RelationMapping(
-        relation_text=relation_text,
-        mapped_types=tuple(response["relation_types"]),
-        sides=tuple(response["sides"]),
-        anchor_category=response["anchor_category"],
-        other_categories=tuple(response["other_categories"]),
-        other_counts=tuple(response["other_counts"]),
-    )
-
-
-def oa_mapping_from_response(relation_text: str, response: dict) -> ArchMapping:
-    return ArchMapping(
-        relation_text=relation_text,
-        mapped_type=response.get("relation_type"),
-        arch_type=response.get("arch_type", ""),
-        specific_floors=tuple(response.get("specific_floors", ())),
-        side=response.get("side"),
-        reason=response.get("reason", ""),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -317,12 +260,6 @@ class MockJudge(Judge):
         for row in entries:
             key = (row["task"], canonical_json(row["payload"]))
             self.table[key] = row["response"]
-
-    @classmethod
-    def from_file(cls, path) -> "MockJudge":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data["entries"])
 
     def judge(self, request: JudgeRequest) -> dict:
         key = (request.task, request.canonical_payload)
@@ -475,8 +412,9 @@ def render_task_prompt(request: JudgeRequest) -> str:
 
 
 class CachingJudge(Judge):
-    """Caches validated responses by request hash; optionally appends a transcript.
+    """Caches responses by request hash; optionally appends a transcript.
 
+    Every answer served from the cache passes `validate_response` again.
     With inner=None the judge is replay-only: every request must already be
     in the preloaded transcript.
     """
@@ -492,8 +430,9 @@ class CachingJudge(Judge):
     def judge(self, request: JudgeRequest) -> dict:
         key = request.content_hash
         with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+            hit, cached = key in self._cache, self._cache.get(key)
+        if hit:  # a preloaded transcript is outside input: check it as it is served
+            return validate_response(request, cached)
         if self.inner is None:
             raise JudgeError(
                 f"replay transcript has no entry for task '{request.task}' "
@@ -515,10 +454,6 @@ class CachingJudge(Judge):
                     with open(self.transcript_path, "a", encoding="utf-8") as fh:
                         fh.write(canonical_json(record) + "\n")
         return response
-
-    def snapshot(self) -> dict[str, dict]:
-        with self._lock:
-            return dict(self._cache)
 
 
 def load_transcript(path) -> list[dict]:

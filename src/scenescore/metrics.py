@@ -36,16 +36,7 @@ from .geometry import (
     sample_points_obb,
     support_hull_check,
 )
-from .judge import (
-    ArchMapping,
-    Judge,
-    JudgeError,
-    JudgeRequest,
-    RelationMapping,
-    oa_mapping_from_response,
-    oo_mapping_from_response,
-    transcript_hash,
-)
+from .judge import Judge, JudgeError, JudgeRequest, transcript_hash
 from .relations import (
     DISTANCE_BANDS,
     RelationScore,
@@ -67,6 +58,8 @@ logger = logging.getLogger(__name__)
 ROOM_RELATIONS = ("inside_room", "middle_room", "corner_room")
 WALL_RELATIONS = ("on_wall", "against_wall")
 OOB_HIT_THRESHOLD = 0.99
+ACC_PROBE_DEPTH = 0.5  # meters of clearance probed per side
+SURROUND_TUPLE_CAP = 10000  # candidate tuples scored per relation spec
 SUPPORT_CONTACT_DISTANCE = 0.01  # meters; ray contacts count within this
 SUPPORT_VERTEX_TOLERANCE = 0.01  # verts this close to the extreme cast rays
 
@@ -76,9 +69,6 @@ class EvalConfig:
     resolution: float = 0.05          # occupancy cell size, meters
     samples: int = 1000               # points per box/surface sample
     seed: int = 0
-    acc_probe_depth: float = 0.5      # meters of clearance probed per side
-    surround_tuple_cap: int = 10000   # combination cap per relation spec
-    exempt_nonfloor_support_from_oob: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,15 +213,14 @@ def eval_attribute(
 
 
 class _SampleCache:
-    def __init__(self, scene: SceneInstance, config: EvalConfig):
-        self.scene = scene
+    def __init__(self, config: EvalConfig):
         self.config = config
         self._points: dict[str, np.ndarray] = {}
 
     def points(self, obj: ObjectInstance) -> np.ndarray:
         if obj.id not in self._points:
             seed = derive_seed(self.config.seed, "box", obj.id)
-            self._points[obj.id] = sample_points_obb(obj.obb, self.config.samples, seed).points
+            self._points[obj.id] = sample_points_obb(obj.obb, self.config.samples, seed)
         return self._points[obj.id]
 
 
@@ -261,15 +250,15 @@ def _score_oo_pair(
     raise ValueError(f"unknown object-object relation '{relation}'")
 
 
-def _oo_tuples(assignment: CategoryAssignment, mapping: RelationMapping, cap: int):
+def _oo_tuples(assignment: CategoryAssignment, mapping: dict, relation_text: str):
     """All combinations of matched instances for the mapping's categories.
 
     Yields (anchor_id, [target_id, ...]) with targets flattened across the
-    mapping's other categories, up to `cap` tuples.
+    mapping's other categories, up to SURROUND_TUPLE_CAP tuples.
     """
-    anchors = assignment.instances(mapping.anchor_category)
+    anchors = assignment.instances(mapping["anchor_category"])
     per_category = []
-    for cat, count in zip(mapping.other_categories, mapping.other_counts):
+    for cat, count in zip(mapping["other_categories"], mapping["other_counts"]):
         ids = assignment.instances(cat)
         if len(ids) < count:
             return  # not enough instances: no candidate tuples
@@ -280,11 +269,11 @@ def _oo_tuples(assignment: CategoryAssignment, mapping: RelationMapping, cap: in
             group = [i for combo in chosen for i in combo if i != anchor_id]
             if not group:
                 continue
-            if produced >= cap:
+            if produced >= SURROUND_TUPLE_CAP:
                 logger.warning(
                     "relation '%s': combination cap %d reached, truncating",
-                    mapping.relation_text,
-                    cap,
+                    relation_text,
+                    SURROUND_TUPLE_CAP,
                 )
                 return
             produced += 1
@@ -298,12 +287,12 @@ def eval_oo(
     judge: Judge,
     config: EvalConfig,
 ) -> list[SpecResult]:
-    cache = _SampleCache(scene, config)
+    cache = _SampleCache(config)
     results = []
     for spec in oo_specs:
         line = serialize_spec(spec)
         other_counts = spec.other_category_counts()
-        response = judge.judge(
+        mapping = judge.judge(
             JudgeRequest(
                 task="map_oo_relation",
                 payload={
@@ -314,13 +303,12 @@ def eval_oo(
                 },
             )
         )
-        mapping = oo_mapping_from_response(spec.relation_text, response)
-        if mapping.unmappable:
+        if not mapping.get("relation_types"):
             results.append(
-                SpecResult(line, False, reason=f"unmappable relation: {mapping.reason}")
+                SpecResult(line, False, reason=f"unmappable relation: {mapping.get('reason', '')}")
             )
             continue
-        involved = [mapping.anchor_category, *mapping.other_categories]
+        involved = [mapping["anchor_category"], *mapping["other_categories"]]
         empty = [c for c in involved if not assignment.instances(c)]
         if empty:
             results.append(
@@ -333,7 +321,7 @@ def eval_oo(
             anchor = scene.object_by_id(anchor_id)
             group = [scene.object_by_id(i) for i in group_ids]
             scores = []
-            for relation, side in zip(mapping.mapped_types, mapping.sides):
+            for relation, side in zip(mapping["relation_types"], mapping["sides"]):
                 if relation == "surround":
                     if len(group) < 2:
                         scores.append(RelationScore(0.0))
@@ -355,7 +343,7 @@ def eval_oo(
         sat = count_satisfied(
             spec.quantifier,
             spec.quantity,
-            _oo_tuples(assignment, mapping, config.surround_tuple_cap),
+            _oo_tuples(assignment, mapping, spec.relation_text),
             scorer,
         )
         results.append(
@@ -369,10 +357,10 @@ def eval_oo(
     return results
 
 
-def _qualifying_rooms(scene: SceneInstance, spec: OARelationSpec, mapping: ArchMapping):
+def _qualifying_rooms(scene: SceneInstance, spec: OARelationSpec, specific_floors):
     rooms = list(scene.rooms)
-    if mapping.specific_floors:
-        wanted = set(mapping.specific_floors)
+    if specific_floors:
+        wanted = set(specific_floors)
         rooms = [r for r in rooms if wanted & set(r.floor_ids)]
     if spec.arch_ref not in ARCH_REFS:  # room-type reference such as "bedroom"
         wanted_type = normalize_room_token(spec.arch_ref)
@@ -387,12 +375,12 @@ def eval_oa(
     judge: Judge,
     config: EvalConfig,
 ) -> list[SpecResult]:
-    cache = _SampleCache(scene, config)
+    cache = _SampleCache(config)
     floor_ids = [f.id for f in scene.floors]
     results = []
     for spec in oa_specs:
         line = serialize_spec(spec)
-        response = judge.judge(
+        mapping = judge.judge(
             JudgeRequest(
                 task="map_oa_relation",
                 payload={
@@ -403,37 +391,37 @@ def eval_oa(
                 },
             )
         )
-        mapping = oa_mapping_from_response(spec.relation_text, response)
-        if mapping.mapped_type is None:
+        relation = mapping.get("relation_type")
+        if relation is None:
             results.append(
-                SpecResult(line, False, reason=f"unmappable relation: {mapping.reason}")
+                SpecResult(line, False, reason=f"unmappable relation: {mapping.get('reason', '')}")
             )
             continue
         instance_ids = assignment.instances(spec.category)
         if not instance_ids:
             results.append(SpecResult(line, False, reason="no matched instances"))
             continue
-        relation = mapping.mapped_type
+        kind = mapping.get("arch_type", "")
+        specific_floors = mapping.get("specific_floors", ())
 
         if relation in ROOM_RELATIONS:
-            elements = _qualifying_rooms(scene, spec, mapping)
+            elements = _qualifying_rooms(scene, spec, specific_floors)
         elif relation in WALL_RELATIONS:
             elements = scene.walls
         elif relation == "hang_ceiling":
             elements = scene.ceilings
         else:  # distance relation against a named element kind
-            kind = mapping.arch_type
             if kind == "room":
-                elements = _qualifying_rooms(scene, spec, mapping)
-            elif kind == "floor" and mapping.specific_floors:
-                elements = [scene.arch_by_id(i) for i in mapping.specific_floors]
+                elements = _qualifying_rooms(scene, spec, specific_floors)
+            elif kind == "floor" and specific_floors:
+                elements = [scene.arch_by_id(i) for i in specific_floors]
             else:
                 elements = scene.arch_of_kind(kind)
         if not elements:
             results.append(
                 SpecResult(
                     line, False,
-                    reason=f"no {mapping.arch_type} elements for relation '{relation}'",
+                    reason=f"no {kind} elements for relation '{relation}'",
                 )
             )
             continue
@@ -604,9 +592,7 @@ def side_band_score(
     return float((band & ~occupied).sum() / total)
 
 
-def eval_accessibility(
-    scene: SceneInstance, occupancy: SceneOccupancy, judge: Judge, config: EvalConfig
-):
+def eval_accessibility(scene: SceneInstance, occupancy: SceneOccupancy, judge: Judge):
     """Best free-side fraction per object; objects with no functional sides
     are excluded from the mean."""
     scores = {}
@@ -624,38 +610,30 @@ def eval_accessibility(
             scores[obj.id] = None
             continue
         scores[obj.id] = max(
-            side_band_score(occupancy, obj, side, config.acc_probe_depth) for side in sides
+            side_band_score(occupancy, obj, side, ACC_PROBE_DEPTH) for side in sides
         )
     scored = [v for v in scores.values() if v is not None]
     mean = sum(scored) / len(scored) if scored else None
     return scores, mean, sides_by_object
 
 
-def classify_out_of_bounds(hit_fraction: float, threshold: float = OOB_HIT_THRESHOLD) -> bool:
-    """Out of bounds when fewer than `threshold` of surface rays hit the floor."""
-    return hit_fraction < threshold
+def classify_out_of_bounds(hit_fraction: float) -> bool:
+    """Out of bounds when fewer than OOB_HIT_THRESHOLD of surface rays hit the floor."""
+    return hit_fraction < OOB_HIT_THRESHOLD
 
 
-def oob_hit_fraction(points: np.ndarray, floor_triangles: np.ndarray) -> float:
-    return ray_hit_fraction(points, np.array([0.0, 0.0, -1.0]), floor_triangles)
-
-
-def eval_oob(scene: SceneInstance, config: EvalConfig, support_types=None):
+def eval_oob(scene: SceneInstance, config: EvalConfig):
     """Surface-sampled downward-ray bounds test per object."""
     if not scene.floors:
         raise ValueError("out-of-bounds needs at least one floor")
     floor_tris = np.concatenate([f.mesh.triangles for f in scene.floors])
     flags = {}
     for obj in scene.objects:
-        if (
-            config.exempt_nonfloor_support_from_oob
-            and support_types
-            and support_types.get(obj.id) in ("wall", "ceiling")
-        ):
-            continue
         seed = derive_seed(config.seed, "oob", obj.id)
-        pts = sample_mesh_surface(obj.world_mesh, config.samples, seed).points
-        flags[obj.id] = classify_out_of_bounds(oob_hit_fraction(pts, floor_tris))
+        pts = sample_mesh_surface(obj.world_mesh, config.samples, seed)
+        flags[obj.id] = classify_out_of_bounds(
+            ray_hit_fraction(pts, np.array([0.0, 0.0, -1.0]), floor_tris)
+        )
     percent = 100.0 * sum(flags.values()) / len(flags) if flags else None
     return percent, flags
 
@@ -794,9 +772,8 @@ def evaluate_scene(
     except ValueError as exc:
         report.errors["col"] = str(exc)
     try:
-        report.sup, report.sup_verdicts, support_types = eval_support(scene, recording)
+        report.sup, report.sup_verdicts, _ = eval_support(scene, recording)
     except (JudgeError, ValueError) as exc:
-        support_types = None
         report.errors["sup"] = str(exc)
     try:
         occupancy = scene.occupancy(config.resolution)
@@ -805,13 +782,11 @@ def evaluate_scene(
     else:
         report.nav, report.nav_detail = eval_navigability(occupancy)
         try:
-            report.acc_scores, report.acc, _ = eval_accessibility(
-                scene, occupancy, recording, config
-            )
+            report.acc_scores, report.acc, _ = eval_accessibility(scene, occupancy, recording)
         except (JudgeError, ValueError) as exc:
             report.errors["acc"] = str(exc)
     try:
-        report.oob, report.oob_flags = eval_oob(scene, config, support_types)
+        report.oob, report.oob_flags = eval_oob(scene, config)
     except ValueError as exc:
         report.errors["oob"] = str(exc)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ def canonical_relation(name: str, catalogue: tuple) -> str:
 @dataclass(frozen=True)
 class RelationScore:
     value: float
-    threshold: float = POSITIVITY_THRESHOLD
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -73,7 +72,7 @@ class RelationScore:
 
     @property
     def positive(self) -> bool:
-        return self.value >= self.threshold
+        return self.value >= POSITIVITY_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -206,10 +205,6 @@ class SideSpec:
         if self.side not in valid:
             raise ValueError(f"side '{self.side}' invalid for variant '{self.variant}'")
 
-    @property
-    def extension(self) -> float:
-        return SIDE_OF_EXTENSION if self.variant == "side_of" else 0.0
-
 
 def _anchor_side_frame(anchor: ObjectInstance) -> dict:
     """Local-frame unit directions for each named side of the anchor.
@@ -265,8 +260,7 @@ def score_side_family(
         return RelationScore(float(in_side.mean()) if len(local) else 0.0)
 
     scale = 1.0 + (SIDE_OF_EXTENSION if spec.variant == "side_of" else 0.0)
-    excluded = (np.abs(local) <= obb.half_extents * scale + 1e-12).all(axis=1)
-    considered = ~excluded
+    considered = ~obb.contains(target_samples, scale)
     n_considered = int(considered.sum())
     if n_considered == 0:
         return RelationScore(0.0)
@@ -353,7 +347,7 @@ def score_room_relation(
         frac = ray_hit_fraction(samples, np.array([0.0, 0.0, -1.0]), floor_tris)
         return RelationScore(frac)
     if kind == "middle_room":
-        o = obj.footprint.longer_side
+        o = obj.obb.footprint_sides()[0]
         r = room.mean_dimension
         sigma = o / 2.0 + (1.0 - o / r)
         if sigma < MIDDLE_ROOM_MIN_SIGMA:

@@ -40,14 +40,6 @@ class SceneLoadError(ValueError):
 
 
 @dataclass(frozen=True)
-class ObjectFootprint:
-    """World 2D bounding rectangle sides of an object."""
-
-    longer_side: float
-    shorter_side: float
-
-
-@dataclass(frozen=True)
 class ObjectInstance:
     id: str
     description: str
@@ -56,7 +48,6 @@ class ObjectInstance:
     translation: np.ndarray     # (3,)
     obb: OrientedBox            # world frame
     world_mesh: TriMesh
-    footprint: ObjectFootprint
     front_axis: np.ndarray | None  # unit vector, local frame; None when frontless
     image_refs: dict = field(default_factory=dict)
     mesh_path: str = ""
@@ -168,7 +159,6 @@ def object_from_mesh(
         front = front / np.linalg.norm(front)
     lo, hi = mesh.bounds
     obb = OrientedBox.from_local_aabb(lo, hi, rotation, translation)
-    longer, shorter = obb.footprint_sides()
     return ObjectInstance(
         id=obj_id,
         description=description if description is not None else obj_id.replace("_", " "),
@@ -177,32 +167,48 @@ def object_from_mesh(
         translation=translation,
         obb=obb,
         world_mesh=mesh.transformed(rotation, translation),
-        footprint=ObjectFootprint(longer, shorter),
         front_axis=front,
         image_refs=dict(image_refs or {}),
         mesh_path=mesh_path,
     )
 
 
-def arch_from_polygon(arch_id: str, kind: str, polygon, front_normal=None) -> ArchElement:
-    """Build an ArchElement from a world-frame planar polygon."""
+def _checked_arch(
+    arch_id: str, kind: str, mesh: TriMesh, front_normal, polygon=None, mesh_path=""
+) -> ArchElement:
+    """The ArchElement for one element, after the checks every element passes."""
     if kind not in ARCH_KINDS:
         raise SceneLoadError(f"unknown arch kind '{kind}' for element '{arch_id}'")
-    polygon = np.asarray(polygon, dtype=float)
+    if kind == "floor" and polygon_planarity(mesh.vertices) > FLOOR_PLANARITY_TOL:
+        raise SceneLoadError(f"floor '{arch_id}' is not planar")
     if front_normal is not None:
         front_normal = np.asarray(front_normal, dtype=float)
-        front_normal = front_normal / np.linalg.norm(front_normal)
+        norm = np.linalg.norm(front_normal)
+        if not 0.0 < norm < np.inf:
+            raise SceneLoadError(f"element '{arch_id}': front_normal must be finite and non-zero")
+        front_normal = front_normal / norm
     if kind == "wall" and front_normal is None:
         raise SceneLoadError(f"wall '{arch_id}' must declare front_normal")
     return ArchElement(
-        id=arch_id, kind=kind, mesh=polygon_to_mesh(polygon),
-        front_normal=front_normal, polygon=polygon,
+        id=arch_id, kind=kind, mesh=mesh, front_normal=front_normal,
+        polygon=polygon, mesh_path=mesh_path,
     )
+
+
+def arch_from_polygon(arch_id: str, kind: str, polygon, front_normal=None) -> ArchElement:
+    """Build an ArchElement from a world-frame planar polygon."""
+    polygon = np.asarray(polygon, dtype=float)
+    return _checked_arch(arch_id, kind, polygon_to_mesh(polygon), front_normal, polygon=polygon)
 
 
 def make_room(room_id: str, room_type: str, floors, walls=()) -> RoomRegion:
     """Build a RoomRegion from already-constructed floor/wall elements."""
     centroid, mean_dim = _room_metrics([f.mesh for f in floors])
+    if mean_dim <= 0:
+        raise SceneLoadError(f"room '{room_id}' has non-positive extent")
+    tris = np.concatenate([f.mesh.triangles[:, :, :2] for f in floors])
+    if not points_in_triangles_2d(centroid[None, :], tris)[0]:
+        logger.warning("room '%s': centroid falls outside its floor polygons", room_id)
     return RoomRegion(
         id=room_id,
         room_type=room_type,
@@ -222,6 +228,8 @@ def _parse_transform(values) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (12,):
         raise SceneLoadError(f"transform must have 12 row-major values, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SceneLoadError("transform has non-finite values")
     m = arr.reshape(3, 4)
     rotation, translation = m[:, :3], m[:, 3]
     if not np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-4):
@@ -246,9 +254,12 @@ def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
     mesh = mesh_cache[resolved]
 
     rotation, translation = _parse_transform(entry["transform"])
-    front_axis = entry.get("front_axis", DEFAULT_FRONT_AXIS)
-    if not entry.get("frontless") and np.linalg.norm(front_axis) < 1e-9:
-        raise SceneLoadError(f"object '{obj_id}': zero-length front axis")
+    front_axis = np.asarray(entry.get("front_axis", DEFAULT_FRONT_AXIS), dtype=float)
+    if not entry.get("frontless"):
+        if not np.isfinite(front_axis).all():
+            raise SceneLoadError(f"object '{obj_id}': non-finite front axis")
+        if np.linalg.norm(front_axis) < 1e-9:
+            raise SceneLoadError(f"object '{obj_id}': zero-length front axis")
     return object_from_mesh(
         obj_id,
         mesh,
@@ -262,35 +273,15 @@ def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
     )
 
 
-def _load_arch(entry, base_dir: Path, mesh_cache: dict) -> ArchElement:
-    kind = entry.get("kind")
-    if kind not in ARCH_KINDS:
-        raise SceneLoadError(f"unknown arch kind '{kind}' for element '{entry.get('id')}'")
-    polygon = None
-    mesh_path = ""
+def _load_arch(entry, base_dir: Path) -> ArchElement:
+    arch_id, kind = entry["id"], entry.get("kind")
+    front_normal = entry.get("front_normal")
     if "polygon" in entry:
-        polygon = np.asarray(entry["polygon"], dtype=float)
-        if kind == "floor" and polygon_planarity(polygon) > FLOOR_PLANARITY_TOL:
-            raise SceneLoadError(f"floor '{entry['id']}' polygon is not planar")
-        mesh = polygon_to_mesh(polygon)
-    elif "mesh" in entry:
-        mesh_path = entry["mesh"]
-        mesh = meshio.load_mesh((base_dir / mesh_path).resolve())
-        mesh, _ = mesh.without_degenerate_triangles()
-        if kind == "floor" and polygon_planarity(mesh.vertices) > FLOOR_PLANARITY_TOL:
-            raise SceneLoadError(f"floor '{entry['id']}' mesh is not planar")
-    else:
-        raise SceneLoadError(f"arch element '{entry.get('id')}' needs 'polygon' or 'mesh'")
-    front_normal = None
-    if "front_normal" in entry:
-        front_normal = np.asarray(entry["front_normal"], dtype=float)
-        front_normal = front_normal / np.linalg.norm(front_normal)
-    if kind == "wall" and front_normal is None:
-        raise SceneLoadError(f"wall '{entry['id']}' must declare front_normal")
-    return ArchElement(
-        id=entry["id"], kind=kind, mesh=mesh, front_normal=front_normal,
-        polygon=polygon, mesh_path=mesh_path,
-    )
+        return arch_from_polygon(arch_id, kind, entry["polygon"], front_normal)
+    if "mesh" not in entry:
+        raise SceneLoadError(f"arch element '{arch_id}' needs 'polygon' or 'mesh'")
+    mesh, _ = meshio.load_mesh((base_dir / entry["mesh"]).resolve()).without_degenerate_triangles()
+    return _checked_arch(arch_id, kind, mesh, front_normal, mesh_path=entry["mesh"])
 
 
 def _room_metrics(floor_meshes) -> tuple[np.ndarray, float]:
@@ -326,27 +317,14 @@ def _load_room(entry, arch_by_id) -> RoomRegion:
         if fid not in arch_by_id or arch_by_id[fid].kind != "floor":
             raise SceneLoadError(f"room '{entry['id']}' references unknown floor '{fid}'")
         floors.append(arch_by_id[fid])
-    centroid, mean_dim = _room_metrics([f.mesh for f in floors])
-    if mean_dim <= 0:
-        raise SceneLoadError(f"room '{entry['id']}' has non-positive extent")
-    tris = np.concatenate([f.mesh.triangles[:, :, :2] for f in floors])
-    if not points_in_triangles_2d(centroid[None, :], tris)[0]:
-        logger.warning("room '%s': centroid falls outside its floor polygons", entry["id"])
-    walls = tuple(
-        a.id
+    walls = [
+        a
         for a in arch_by_id.values()
         if a.kind == "wall"
         and min(closest_surface_distance(a.mesh, f.mesh) for f in floors)
         <= WALL_ROOM_ATTACH_DISTANCE
-    )
-    return RoomRegion(
-        id=entry["id"],
-        room_type=entry.get("room_type", ""),
-        floor_ids=floor_ids,
-        centroid_2d=centroid,
-        mean_dimension=mean_dim,
-        wall_ids=walls,
-    )
+    ]
+    return make_room(entry["id"], entry.get("room_type", ""), floors, walls)
 
 
 def load_scene(manifest_path) -> SceneInstance:
@@ -368,7 +346,7 @@ def load_scene(manifest_path) -> SceneInstance:
         seen.add(obj.id)
         objects.append(obj)
 
-    architecture = [_load_arch(e, base_dir, mesh_cache) for e in manifest.get("architecture", [])]
+    architecture = [_load_arch(e, base_dir) for e in manifest.get("architecture", [])]
     arch_by_id = {a.id: a for a in architecture}
     if len(arch_by_id) != len(architecture):
         raise SceneLoadError("duplicate architecture element id")

@@ -82,32 +82,32 @@ def sat_box_penetration(a: OrientedBox, b: OrientedBox) -> float:
 class TestSampling:
     def test_points_within_box(self):
         box = OrientedBox.from_aabb([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
-        pts = sample_points_obb(box, 1000, seed=7).points
+        pts = sample_points_obb(box, 1000, seed=7)
         assert pts.shape == (1000, 3)
         assert (np.abs(pts) <= 0.5).all()
 
     def test_deterministic(self):
         box = OrientedBox.from_aabb([0, 0, 0], [1, 2, 3])
-        a = sample_points_obb(box, 500, seed=42).points
-        b = sample_points_obb(box, 500, seed=42).points
+        a = sample_points_obb(box, 500, seed=42)
+        b = sample_points_obb(box, 500, seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_uniformity_binomial_bound(self):
         # For 1000 uniform points the positive-x fraction stays within
         # [0.45, 0.55] with overwhelming probability (binomial, p=0.5).
         box = OrientedBox.from_aabb([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
-        pts = sample_points_obb(box, 1000, seed=3).points
+        pts = sample_points_obb(box, 1000, seed=3)
         frac = (pts[:, 0] > 0).mean()
         assert 0.45 <= frac <= 0.55
 
     def test_rotated_box_containment(self):
         box = OrientedBox(np.array([1.0, 2.0, 0.5]), rot_z(30), np.array([0.4, 0.2, 0.1]))
-        pts = sample_points_obb(box, 200, seed=1).points
+        pts = sample_points_obb(box, 200, seed=1)
         assert box.contains(pts).all()
 
     def test_surface_samples_on_surface(self):
         mesh = box_mesh([1, 1, 1])
-        pts = sample_mesh_surface(mesh, 300, seed=5).points
+        pts = sample_mesh_surface(mesh, 300, seed=5)
         on_face = (np.abs(np.abs(pts) - 0.5) < 1e-9).any(axis=1)
         assert on_face.all()
 
@@ -249,8 +249,8 @@ class TestClosestDistance:
             a, b = random_box_pair(rng)
             ma, mb = box_to_mesh(a), box_to_mesh(b)
             d = closest_surface_distance(ma, mb)
-            pa = sample_mesh_surface(ma, 4000, seed=1).points
-            pb = sample_mesh_surface(mb, 4000, seed=2).points
+            pa = sample_mesh_surface(ma, 4000, seed=1)
+            pb = sample_mesh_surface(mb, 4000, seed=2)
             approx = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2))
             if d == 0.0:
                 assert sat_box_penetration(a, b) > -1e-9
@@ -472,5 +472,5 @@ class TestDeriveSeed:
 )
 def test_obb_roundtrip_local_world(cx, cy, yaw, hx, hy):
     box = OrientedBox(np.array([cx, cy, 0.5]), rot_z(yaw), np.array([hx, hy, 0.5]))
-    pts = sample_points_obb(box, 50, seed=0).points
+    pts = sample_points_obb(box, 50, seed=0)
     np.testing.assert_allclose(box.to_world(box.to_local(pts)), pts, atol=1e-9)

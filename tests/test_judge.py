@@ -15,8 +15,6 @@ from scenescore.judge import (
     RemoteJudgeConfig,
     load_prompt,
     load_transcript,
-    oa_mapping_from_response,
-    oo_mapping_from_response,
     render_task_prompt,
     replay_judge,
     transcript_hash,
@@ -93,9 +91,7 @@ class TestValidation:
         )
         assert r["relation_types"] == ["side_of", "next_to"]
         assert r["sides"] == ["front", None]
-        mapping = oo_mapping_from_response("at the foot of", r)
-        assert mapping.mapped_types == ("side_of", "next_to")
-        assert mapping.anchor_category == "bed"
+        assert r["anchor_category"] == "bed"
 
     def test_oo_mapping_rejects_unknown_relation(self):
         with pytest.raises(MalformedJudgment):
@@ -119,9 +115,7 @@ class TestValidation:
         r = validate_response(
             self._oo_request(), {"relation_types": None, "reason": "no match"}
         )
-        mapping = oo_mapping_from_response("at the foot of", r)
-        assert mapping.unmappable
-        assert mapping.reason == "no match"
+        assert r == {"relation_types": None, "reason": "no match"}
 
     def test_oo_mapping_none_without_reason_rejected(self):
         with pytest.raises(MalformedJudgment):
@@ -143,9 +137,8 @@ class TestValidation:
             self._oa_request(),
             {"relationship_type": "against_wall", "architectural_element_type": "wall"},
         )
-        m = oa_mapping_from_response("against", r)
-        assert m.mapped_type == "against_wall"
-        assert m.arch_type == "wall"
+        assert r["relation_type"] == "against_wall"
+        assert r["arch_type"] == "wall"
 
     def test_oa_mapping_alias_and_floor_check(self):
         r = validate_response(
@@ -243,6 +236,14 @@ class TestCachingAndReplay:
         replay = replay_judge(path)
         with pytest.raises(JudgeError, match="replay transcript has no entry"):
             replay.judge(match_request())
+
+    def test_replayed_answer_is_validated(self, tmp_path):
+        req = JudgeRequest("support_type", {"object_description": "lamp"})
+        path = tmp_path / "t.jsonl"
+        record = {"hash": req.content_hash, "response": {"support_type": "floating"}}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(MalformedJudgment, match="unknown support type"):
+            replay_judge(path).judge(req)
 
     def test_transcript_hash_ignores_timestamps(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

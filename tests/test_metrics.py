@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_box_object, make_room_scene, make_striped_object
-from scenescore.annotations import parse_spec_line
+from scenescore.annotations import DatasetEntry, parse_spec_line
+from scenescore.geometry import ray_hit_fraction
 from scenescore.judge import JudgeError, MockJudge
 from scenescore.metrics import (
     CategoryAssignment,
@@ -21,7 +23,6 @@ from scenescore.metrics import (
     eval_support,
     evaluate_scene,
     match_objects,
-    oob_hit_fraction,
     side_band_score,
     support_contacts,
     support_direction,
@@ -449,7 +450,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[sofa])
         judge = MockJudge([sides_row("sofa", ["front"])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
         assert scores["s"] == 1.0 and mean == 1.0
 
     def test_wardrobe_flush_blocked(self):
@@ -459,7 +460,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[w1, w2])
         judge = MockJudge([sides_row("wardrobe", ["front"]), sides_row("blocker", [])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
         assert scores["w1"] == 0.0
         assert scores["w2"] is None  # no functional sides: excluded
         assert mean == 0.0
@@ -471,7 +472,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[bed, blocker])
         judge = MockJudge([sides_row("bed", ["left", "right"]), sides_row("chest", [])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge, CONFIG)
+        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
         assert scores["b"] == 1.0  # right side is free
 
     def test_band_score_partially_blocked(self):
@@ -527,7 +528,7 @@ class TestOOB:
         floor_tris = np.concatenate([f.mesh.triangles for f in scene.floors])
         inside = np.tile([3.0, 3.0, 0.5], (99, 1))
         outside = np.array([[9.0, 9.0, 0.5]])
-        frac = oob_hit_fraction(np.vstack([inside, outside]), floor_tris)
+        frac = ray_hit_fraction(np.vstack([inside, outside]), [0, 0, -1], floor_tris)
         assert frac == pytest.approx(0.99, abs=1e-12)
         assert not classify_out_of_bounds(frac)
 
@@ -536,14 +537,7 @@ class TestOOB:
         scene = make_room_scene()
         floor_tris = np.concatenate([f.mesh.triangles for f in scene.floors])
         on_floor = np.array([[3.0, 3.0, 0.0], [1.0, 2.0, 0.0], [0.5, 5.5, 0.0]])
-        assert oob_hit_fraction(on_floor, floor_tris) == 1.0
-
-    def test_exempt_flag(self):
-        mirror = make_box_object("m", [0.6, 0.02, 0.9], [3, 0.01, 1.5], description="mirror")
-        scene = make_room_scene(objects=[mirror])
-        cfg = EvalConfig(samples=200, exempt_nonfloor_support_from_oob=True)
-        pct, flags = eval_oob(scene, cfg, support_types={"m": "wall"})
-        assert flags == {} and pct is None
+        assert ray_hit_fraction(on_floor, [0, 0, -1], floor_tris) == 1.0
 
 
 def full_fixture():
@@ -557,8 +551,6 @@ def full_fixture():
         "oo": ["eq,1,left,0,bed,nightstand"],
         "oa": ["eq,1,inside,bed,room"],
     }
-    from scenescore.annotations import DatasetEntry
-
     entry = DatasetEntry(
         id="fixture",
         difficulty="easy",
@@ -634,8 +626,6 @@ class TestEvaluateScene:
                 assert spec_partial.passed <= spec_full.passed
 
     def test_empty_scene_empty_annotations(self):
-        from scenescore.annotations import DatasetEntry
-
         scene = make_room_scene(objects=[])
         entry = DatasetEntry("empty", "easy", "An empty room.", (), (), (), ())
         report = evaluate_scene(scene, entry, MockJudge([]), CONFIG)
@@ -657,6 +647,23 @@ class TestEvaluateScene:
         }
         assert report.nav is None and report.acc is None
         assert report.cnt_percent == 100.0 and report.oob == 0.0
+
+    def test_oversized_grid_recorded(self):
+        scene, entry, judge = full_fixture()
+        judge.table = {k: v for k, v in judge.table.items() if k[0] != "functional_sides"}
+        # a 6 m floor at 0.1 mm cells would need 3.6e9 cells per grid
+        config = EvalConfig(samples=CONFIG.samples, seed=CONFIG.seed, resolution=1e-4)
+        report = evaluate_scene(scene, entry, judge, config)
+        assert set(report.errors) == {"nav", "acc"}
+        assert report.errors["acc"] == report.errors["nav"]
+        assert "cells at resolution 0.0001 m exceeds" in report.errors["nav"]
+        assert "floor extent 6 x 6 m" in report.errors["nav"]
+
+    def test_config_fields_are_the_recorded_config(self):
+        scene = make_room_scene(objects=[])
+        entry = DatasetEntry("empty", "easy", "An empty room.", (), (), (), ())
+        report = evaluate_scene(scene, entry, MockJudge([]), CONFIG)
+        assert report.to_dict()["config"] == dataclasses.asdict(CONFIG)
 
     def test_floorless_scene_recorded(self):
         scene, entry, judge = full_fixture()

@@ -34,7 +34,7 @@ N_SAMPLES = 1000
 
 
 def samples_of(obj, n=N_SAMPLES, seed=SEED):
-    return sample_points_obb(obj.obb, n, seed).points
+    return sample_points_obb(obj.obb, n, seed)
 
 
 class TestDistanceBand:
@@ -91,21 +91,21 @@ class TestContainment:
     def test_fully_inside(self):
         target = OrientedBox.from_aabb([-0.1, -0.1, -0.1], [0.1, 0.1, 0.1])
         anchor = OrientedBox.from_aabb([-1, -1, -1], [1, 1, 1])
-        pts = sample_points_obb(target, N_SAMPLES, SEED).points
+        pts = sample_points_obb(target, N_SAMPLES, SEED)
         assert score_containment(target, anchor, "inside", pts).value == 1.0
         assert score_containment(target, anchor, "outside", pts).value == 0.0
 
     def test_disjoint(self):
         target = OrientedBox.from_aabb([5, 5, 0], [6, 6, 1])
         anchor = OrientedBox.from_aabb([-1, -1, -1], [1, 1, 1])
-        pts = sample_points_obb(target, N_SAMPLES, SEED).points
+        pts = sample_points_obb(target, N_SAMPLES, SEED)
         assert score_containment(target, anchor, "inside", pts).value == 0.0
 
     def test_straddling_half(self):
         # target box straddles the anchor boundary: half its volume inside
         target = OrientedBox.from_aabb([0.5, -0.2, -0.2], [1.5, 0.2, 0.2])
         anchor = OrientedBox.from_aabb([-1, -1, -1], [1, 1, 1])
-        pts = sample_points_obb(target, 4000, SEED).points
+        pts = sample_points_obb(target, 4000, SEED)
         v = score_containment(target, anchor, "inside", pts).value
         assert v == pytest.approx(0.5, abs=0.05)
 

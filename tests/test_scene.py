@@ -8,6 +8,7 @@ from scenescore.meshio import MeshLoadError, load_mesh, write_obj
 from scenescore.geometry import box_mesh
 from scenescore.scene import (
     SceneLoadError,
+    arch_from_polygon,
     load_scene,
     save_manifest,
     world_front_vector,
@@ -77,6 +78,10 @@ class TestLoadScene:
         with pytest.raises(SceneLoadError, match="not planar"):
             load_scene(b.write())
 
+    def test_programmatic_nonplanar_floor_rejected(self):
+        with pytest.raises(SceneLoadError, match="floor 'f' is not planar"):
+            arch_from_polygon("f", "floor", [[0, 0, 0], [6, 0, 0], [6, 6, 0.01], [0, 6, 0]])
+
     def test_room_needs_floors(self, scene_builder):
         b = scene_builder()
         b.add_room(walls=False)
@@ -90,6 +95,28 @@ class TestLoadScene:
         entry = b.add_box("cube", [1, 1, 1], center=[3, 3, 0.5])
         entry["transform"] = [2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]  # scale 2 on x
         with pytest.raises(SceneLoadError, match="orthonormal"):
+            load_scene(b.write())
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("transform", [1, 0, 0, float("nan"), 0, 1, 0, 3, 0, 0, 1, 0.5], "non-finite values"),
+        ("transform", [1, 0, 0, 3, 0, 1, 0, float("inf"), 0, 0, 1, 0.5], "non-finite values"),
+        ("front_axis", [float("nan"), 1, 0], "non-finite front axis"),
+    ], ids=["nan-translation", "inf-translation", "nan-front-axis"])
+    def test_non_finite_placement_rejected(self, scene_builder, field, value, message):
+        b = scene_builder()
+        b.add_room(walls=False)
+        entry = b.add_box("cube", [1, 1, 1], center=[3, 3, 0.5])
+        entry[field] = value
+        with pytest.raises(SceneLoadError, match=message):
+            load_scene(b.write())
+
+    @pytest.mark.parametrize("normal", [[float("nan"), 1, 0], [0, float("inf"), 0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_front_normal_rejected(self, scene_builder, normal):
+        b = scene_builder()
+        b.add_room()
+        b.architecture[1]["front_normal"] = normal
+        with pytest.raises(SceneLoadError, match="front_normal must be finite"):
             load_scene(b.write())
 
     def test_room_wall_association(self, scene_builder):
@@ -164,8 +191,7 @@ class TestObbInvariants:
         b.add_room(walls=False)
         b.add_box("obj", [2.0, 1.0, 0.5], center=[3, 3, 0.25], yaw=90.0)
         obj = load_scene(b.write()).objects[0]
-        assert obj.footprint.longer_side == pytest.approx(2.0)
-        assert obj.footprint.shorter_side == pytest.approx(1.0)
+        assert obj.obb.footprint_sides() == pytest.approx((2.0, 1.0))
 
 
 class TestRoundTrip:
