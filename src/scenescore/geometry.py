@@ -29,6 +29,9 @@ RAY_T_MIN = 1e-9  # m; hits nearer than this along the ray are ignored
 RAY_CHUNK = 512  # rays per (N, F) distance block
 TRI_TOUCH_TOL = 1e-10  # m; plane distances within this count as touching
 SUPPORT_HULL_TOL = 1e-6  # m; centroid distance allowed from a degenerate hull
+# Box pairs compared per block by the COL broadphase: its float64 temporaries
+# stay under 100 MB whatever the triangle counts.
+AABB_PAIR_BLOCK = 2**20
 # Floor-plan grids hold one bool grid per object besides the scene grids, so
 # a floor given in the wrong units must fail before any of them is allocated.
 MAX_OCCUPANCY_CELLS = 2**22
@@ -369,12 +372,19 @@ def _aabb_overlapping_pairs(bounds_a: np.ndarray, bounds_b: np.ndarray):
     """Index pairs (i, j) whose AABBs overlap or touch.
 
     Touching counts: a flat face's triangles have zero-width boxes, and two
-    crossing faces may overlap on that axis by exactly zero.
+    crossing faces may overlap on that axis by exactly zero.  Rows of
+    `bounds_a` are compared in blocks of at most AABB_PAIR_BLOCK pairs.
     """
-    lo = np.maximum(bounds_a[:, None, 0], bounds_b[None, :, 0])
-    hi = np.minimum(bounds_a[:, None, 1], bounds_b[None, :, 1])
-    ok = ((hi - lo) >= 0).all(axis=2)
-    return np.nonzero(ok)
+    rows = max(1, AABB_PAIR_BLOCK // max(len(bounds_b), 1))
+    ia, ib = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for s in range(0, len(bounds_a), rows):
+        block = bounds_a[s : s + rows]
+        lo = np.maximum(block[:, None, 0], bounds_b[None, :, 0])
+        hi = np.minimum(block[:, None, 1], bounds_b[None, :, 1])
+        i, j = np.nonzero(((hi - lo) >= 0).all(axis=2))
+        ia.append(i + s)
+        ib.append(j)
+    return np.concatenate(ia), np.concatenate(ib)
 
 
 def mesh_pair_intersects(mesh_a: TriMesh, mesh_b: TriMesh) -> bool:

@@ -11,6 +11,7 @@ evaluations replay offline.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import logging
@@ -242,7 +243,12 @@ def _validate_oa_mapping(request, response, h) -> dict:
 
 
 class Judge:
-    """Base judge: subclasses answer one validated request at a time."""
+    """Base judge: subclasses answer one validated request per call.
+
+    `judge` may be called from several threads at once (`evaluate_scene`
+    asks a scene's requests concurrently), so an implementation guards any
+    state it changes.
+    """
 
     def judge(self, request: JudgeRequest) -> dict:
         raise NotImplementedError
@@ -272,6 +278,7 @@ class MockJudge(Judge):
         return validate_response(request, self.table[key])
 
 
+@functools.lru_cache(maxsize=None)  # one entry per prompt file
 def load_prompt(name: str) -> str:
     return resources.files("scenescore.prompts").joinpath(f"{name}.txt").read_text("utf-8")
 

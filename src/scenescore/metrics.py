@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,9 @@ ACC_PROBE_DEPTH = 0.5  # meters of clearance probed per side
 SURROUND_TUPLE_CAP = 10000  # candidate tuples scored per relation spec
 SUPPORT_CONTACT_DISTANCE = 0.01  # meters; ray contacts count within this
 SUPPORT_VERTEX_TOLERANCE = 0.01  # verts this close to the extreme cast rays
+# Threads asking one scene's judge requests at once.  It does not change any
+# score; the backend's own cap (RemoteJudgeConfig.max_in_flight) still holds.
+JUDGE_THREADS = 8
 
 
 @dataclass
@@ -106,17 +110,148 @@ def percent_passed(results) -> float | None:
     return 100.0 * sum(r.passed for r in results) / len(results)
 
 
-class _RecordingJudge(Judge):
-    """Wraps a judge, recording this evaluation's (hash, response) pairs."""
+class _SceneJudge(Judge):
+    """One scene's judge: each distinct request is asked of `inner` once.
+
+    It keeps one result per content hash, the answer or the exception the
+    inner judge raised.  `prefetch` asks the requests that have no result yet
+    concurrently; `judge` serves the stored result, re-raising a stored
+    failure where the metric reads it, and asks `inner` itself on a miss.
+    `responses` holds only the answers a metric read, so the transcript hash
+    does not depend on what was prefetched.
+    """
 
     def __init__(self, inner: Judge):
         self.inner = inner
+        self._results: dict[str, dict | Exception] = {}
         self.responses: dict[str, dict] = {}
 
+    def _ask(self, request: JudgeRequest) -> dict | Exception:
+        try:
+            return self.inner.judge(request)
+        except Exception as exc:  # kept, and raised where a metric reads it
+            return exc
+
+    def prefetch(self, requests) -> None:
+        todo = {}
+        for request in requests:
+            key = request.content_hash
+            if key not in self._results:
+                todo.setdefault(key, request)
+        if not todo:
+            return
+        with ThreadPoolExecutor(min(JUDGE_THREADS, len(todo))) as pool:
+            self._results.update(zip(todo, pool.map(self._ask, todo.values())))
+
     def judge(self, request: JudgeRequest) -> dict:
-        response = self.inner.judge(request)
-        self.responses[request.content_hash] = response
-        return response
+        key = request.content_hash
+        if key not in self._results:
+            self._results[key] = self._ask(request)
+        result = self._results[key]
+        if isinstance(result, Exception):
+            raise result
+        self.responses[key] = result
+        return result
+
+
+# ---------------------------------------------------------------------------
+# Judge requests: one builder per task, shared by the plan and the metric
+# ---------------------------------------------------------------------------
+
+
+def _image_refs(obj: ObjectInstance, *names) -> tuple:
+    refs = [obj.image_refs[n] for n in names if n in obj.image_refs]
+    return tuple(refs)
+
+
+def _match_category_request(obj: ObjectInstance, categories) -> JudgeRequest:
+    return JudgeRequest(
+        task="match_category",
+        payload={
+            "object_description": obj.description,
+            "categories": list(dict.fromkeys(categories)),
+        },
+        image_refs=_image_refs(obj, "front"),
+    )
+
+
+def _verify_attribute_request(obj: ObjectInstance, spec) -> JudgeRequest:
+    return JudgeRequest(
+        task="verify_attribute",
+        payload={
+            "object_description": obj.description,
+            "category": spec.category,
+            "attribute": spec.attribute,
+        },
+        image_refs=_image_refs(obj, "front", "scale"),
+    )
+
+
+def _support_type_request(obj: ObjectInstance) -> JudgeRequest:
+    return JudgeRequest(
+        task="support_type",
+        payload={"object_description": obj.description},
+        image_refs=_image_refs(obj, "front", "context"),
+    )
+
+
+def _functional_sides_request(obj: ObjectInstance) -> JudgeRequest:
+    return JudgeRequest(
+        task="functional_sides",
+        payload={"object_description": obj.description},
+    )
+
+
+def _map_oo_relation_request(spec) -> JudgeRequest:
+    other_counts = spec.other_category_counts()
+    return JudgeRequest(
+        task="map_oo_relation",
+        payload={
+            "relation_text": spec.relation_text,
+            "anchor_category": spec.anchor_category,
+            "other_categories": [c for c, _ in other_counts],
+            "other_counts": [n for _, n in other_counts],
+        },
+    )
+
+
+def _map_oa_relation_request(spec, floor_ids) -> JudgeRequest:
+    return JudgeRequest(
+        task="map_oa_relation",
+        payload={
+            "relation_text": spec.relation_text,
+            "category": spec.category,
+            "arch_ref": spec.arch_ref,
+            "floor_ids": floor_ids,
+        },
+    )
+
+
+def _first_wave(scene: SceneInstance, entry: DatasetEntry) -> list[JudgeRequest]:
+    """Every request that does not depend on the category assignment."""
+    categories = entry.count_categories()
+    floor_ids = [f.id for f in scene.floors]
+    requests = []
+    for obj in scene.objects:
+        requests += [
+            _match_category_request(obj, categories),
+            _support_type_request(obj),
+            _functional_sides_request(obj),
+        ]
+    requests += [_map_oo_relation_request(spec) for spec in entry.oo_relations]
+    requests += [_map_oa_relation_request(spec, floor_ids) for spec in entry.oa_relations]
+    return requests
+
+
+def _second_wave(
+    scene: SceneInstance, assignment: CategoryAssignment, attr_specs
+) -> list[JudgeRequest]:
+    """The attribute checks of the matched instances."""
+    return [
+        _verify_attribute_request(scene.object_by_id(obj_id), spec)
+        for spec in attr_specs
+        for obj_id in assignment.instances(spec.category)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +261,11 @@ class _RecordingJudge(Judge):
 
 def match_objects(scene: SceneInstance, categories, judge: Judge) -> CategoryAssignment:
     """One judge call per object against the full category list."""
-    categories = list(dict.fromkeys(categories))
     by_category = {c: [] for c in categories}
     unmatched = []
     for obj in scene.objects:
-        request = JudgeRequest(
-            task="match_category",
-            payload={"object_description": obj.description, "categories": categories},
-            image_refs=_image_refs(obj, "front"),
-        )
         try:
-            response = judge.judge(request)
+            response = judge.judge(_match_category_request(obj, categories))
         except JudgeError as exc:
             raise JudgeError(f"object '{obj.id}': {exc}", exc.request_hash) from exc
         if response["matched"]:
@@ -144,11 +273,6 @@ def match_objects(scene: SceneInstance, categories, judge: Judge) -> CategoryAss
         else:
             unmatched.append(obj.id)
     return CategoryAssignment(by_category=by_category, unmatched_objects=tuple(unmatched))
-
-
-def _image_refs(obj: ObjectInstance, *names) -> tuple:
-    refs = [obj.image_refs[n] for n in names if n in obj.image_refs]
-    return tuple(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +312,7 @@ def eval_attribute(
             continue
         satisfied = 0
         for obj_id in instance_ids:
-            obj = scene.object_by_id(obj_id)
-            response = judge.judge(
-                JudgeRequest(
-                    task="verify_attribute",
-                    payload={
-                        "object_description": obj.description,
-                        "category": spec.category,
-                        "attribute": spec.attribute,
-                    },
-                    image_refs=_image_refs(obj, "front", "scale"),
-                )
-            )
+            response = judge.judge(_verify_attribute_request(scene.object_by_id(obj_id), spec))
             satisfied += bool(response["satisfied"])
         results.append(
             SpecResult(
@@ -291,18 +404,7 @@ def eval_oo(
     results = []
     for spec in oo_specs:
         line = serialize_spec(spec)
-        other_counts = spec.other_category_counts()
-        mapping = judge.judge(
-            JudgeRequest(
-                task="map_oo_relation",
-                payload={
-                    "relation_text": spec.relation_text,
-                    "anchor_category": spec.anchor_category,
-                    "other_categories": [c for c, _ in other_counts],
-                    "other_counts": [n for _, n in other_counts],
-                },
-            )
-        )
+        mapping = judge.judge(_map_oo_relation_request(spec))
         if not mapping.get("relation_types"):
             results.append(
                 SpecResult(line, False, reason=f"unmappable relation: {mapping.get('reason', '')}")
@@ -380,17 +482,7 @@ def eval_oa(
     results = []
     for spec in oa_specs:
         line = serialize_spec(spec)
-        mapping = judge.judge(
-            JudgeRequest(
-                task="map_oa_relation",
-                payload={
-                    "relation_text": spec.relation_text,
-                    "category": spec.category,
-                    "arch_ref": spec.arch_ref,
-                    "floor_ids": floor_ids,
-                },
-            )
-        )
+        mapping = judge.judge(_map_oa_relation_request(spec, floor_ids))
         relation = mapping.get("relation_type")
         if relation is None:
             results.append(
@@ -523,14 +615,7 @@ def eval_support(scene: SceneInstance, judge: Judge):
     verdicts = {}
     types = {}
     for obj in scene.objects:
-        response = judge.judge(
-            JudgeRequest(
-                task="support_type",
-                payload={"object_description": obj.description},
-                image_refs=_image_refs(obj, "front", "context"),
-            )
-        )
-        support_type = response["support_type"]
+        support_type = judge.judge(_support_type_request(obj))["support_type"]
         types[obj.id] = support_type
         direction = support_direction(obj, support_type)
         contacts = support_contacts(scene, obj, direction)
@@ -598,13 +683,7 @@ def eval_accessibility(scene: SceneInstance, occupancy: SceneOccupancy, judge: J
     scores = {}
     sides_by_object = {}
     for obj in scene.objects:
-        response = judge.judge(
-            JudgeRequest(
-                task="functional_sides",
-                payload={"object_description": obj.description},
-            )
-        )
-        sides = response["sides"]
+        sides = judge.judge(_functional_sides_request(obj))["sides"]
         sides_by_object[obj.id] = sides
         if not sides:
             scores[obj.id] = None
@@ -736,9 +815,17 @@ def evaluate_scene(
     config: EvalConfig | None = None,
 ) -> SceneReport:
     """Run matching then all nine metrics; per-metric errors are recorded
-    without aborting the rest."""
+    without aborting the rest.
+
+    The judge requests are planned first and asked in two waves, each
+    distinct request once: everything but the attribute checks before
+    matching, the attribute checks of the matched instances after it.  So
+    `judge.judge` may be called from up to JUDGE_THREADS threads at once.
+    The metrics then read the answers in the order a one-at-a-time run would
+    ask them, so errors and the transcript hash do not depend on the waves.
+    """
     config = config or EvalConfig()
-    recording = _RecordingJudge(judge)
+    scene_judge = _SceneJudge(judge)
     report = SceneReport(
         scene_id=scene.manifest_path.parent.name if scene.manifest_path else entry.id,
         entry_id=entry.id,
@@ -748,19 +835,21 @@ def evaluate_scene(
         resolution=config.resolution,
     )
 
+    scene_judge.prefetch(_first_wave(scene, entry))
     assignment = None
     try:
-        assignment = match_objects(scene, entry.count_categories(), recording)
+        assignment = match_objects(scene, entry.count_categories(), scene_judge)
         report.unmatched_objects = assignment.unmatched_objects
     except JudgeError as exc:
         report.errors["matching"] = str(exc)
 
     if assignment is not None:
+        scene_judge.prefetch(_second_wave(scene, assignment, entry.attributes))
         for name, runner in (
             ("cnt", lambda: eval_count(assignment, entry.counts)),
-            ("atr", lambda: eval_attribute(scene, assignment, entry.attributes, recording)),
-            ("oor", lambda: eval_oo(scene, assignment, entry.oo_relations, recording, config)),
-            ("oar", lambda: eval_oa(scene, assignment, entry.oa_relations, recording, config)),
+            ("atr", lambda: eval_attribute(scene, assignment, entry.attributes, scene_judge)),
+            ("oor", lambda: eval_oo(scene, assignment, entry.oo_relations, scene_judge, config)),
+            ("oar", lambda: eval_oa(scene, assignment, entry.oa_relations, scene_judge, config)),
         ):
             try:
                 setattr(report, name, runner())
@@ -772,7 +861,7 @@ def evaluate_scene(
     except ValueError as exc:
         report.errors["col"] = str(exc)
     try:
-        report.sup, report.sup_verdicts, _ = eval_support(scene, recording)
+        report.sup, report.sup_verdicts, _ = eval_support(scene, scene_judge)
     except (JudgeError, ValueError) as exc:
         report.errors["sup"] = str(exc)
     try:
@@ -782,7 +871,7 @@ def evaluate_scene(
     else:
         report.nav, report.nav_detail = eval_navigability(occupancy)
         try:
-            report.acc_scores, report.acc, _ = eval_accessibility(scene, occupancy, recording)
+            report.acc_scores, report.acc, _ = eval_accessibility(scene, occupancy, scene_judge)
         except (JudgeError, ValueError) as exc:
             report.errors["acc"] = str(exc)
     try:
@@ -790,5 +879,5 @@ def evaluate_scene(
     except ValueError as exc:
         report.errors["oob"] = str(exc)
 
-    report.judge_transcript_hash = transcript_hash(recording.responses)
+    report.judge_transcript_hash = transcript_hash(scene_judge.responses)
     return report

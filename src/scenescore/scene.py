@@ -149,14 +149,30 @@ def object_from_mesh(
     image_refs: dict | None = None,
     mesh_path: str = "",
 ) -> ObjectInstance:
-    """Build an ObjectInstance from an in-memory local mesh and a rigid placement."""
+    """Build an ObjectInstance from an in-memory local mesh and a rigid placement.
+
+    Raises SceneLoadError when the placement or front axis is not finite,
+    the rotation is not orthonormal, or the front axis has zero length.
+    """
     rotation = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
     translation = np.asarray(translation, dtype=float)
+    for name, value in (("rotation", rotation), ("translation", translation)):
+        if not np.isfinite(value).all():
+            raise SceneLoadError(f"object '{obj_id}': {name} has non-finite values")
+    if not np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-4):
+        raise SceneLoadError(
+            f"object '{obj_id}': rotation is not orthonormal (placements must be rigid)"
+        )
     if frontless:
         front = None
     else:
         front = np.asarray(front_axis, dtype=float)
-        front = front / np.linalg.norm(front)
+        if not np.isfinite(front).all():
+            raise SceneLoadError(f"object '{obj_id}': non-finite front axis")
+        norm = np.linalg.norm(front)
+        if norm < 1e-9:
+            raise SceneLoadError(f"object '{obj_id}': zero-length front axis")
+        front = front / norm
     lo, hi = mesh.bounds
     obb = OrientedBox.from_local_aabb(lo, hi, rotation, translation)
     return ObjectInstance(
@@ -198,6 +214,8 @@ def _checked_arch(
 def arch_from_polygon(arch_id: str, kind: str, polygon, front_normal=None) -> ArchElement:
     """Build an ArchElement from a world-frame planar polygon."""
     polygon = np.asarray(polygon, dtype=float)
+    if not np.isfinite(polygon).all():
+        raise SceneLoadError(f"element '{arch_id}': polygon has non-finite vertices")
     return _checked_arch(arch_id, kind, polygon_to_mesh(polygon), front_normal, polygon=polygon)
 
 
@@ -228,13 +246,8 @@ def _parse_transform(values) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (12,):
         raise SceneLoadError(f"transform must have 12 row-major values, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise SceneLoadError("transform has non-finite values")
     m = arr.reshape(3, 4)
-    rotation, translation = m[:, :3], m[:, 3]
-    if not np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-4):
-        raise SceneLoadError("transform rotation is not orthonormal (placements must be rigid)")
-    return rotation, translation
+    return m[:, :3], m[:, 3]
 
 
 def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
@@ -254,18 +267,12 @@ def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
     mesh = mesh_cache[resolved]
 
     rotation, translation = _parse_transform(entry["transform"])
-    front_axis = np.asarray(entry.get("front_axis", DEFAULT_FRONT_AXIS), dtype=float)
-    if not entry.get("frontless"):
-        if not np.isfinite(front_axis).all():
-            raise SceneLoadError(f"object '{obj_id}': non-finite front axis")
-        if np.linalg.norm(front_axis) < 1e-9:
-            raise SceneLoadError(f"object '{obj_id}': zero-length front axis")
     return object_from_mesh(
         obj_id,
         mesh,
         rotation=rotation,
         translation=translation,
-        front_axis=front_axis,
+        front_axis=entry.get("front_axis", DEFAULT_FRONT_AXIS),
         frontless=bool(entry.get("frontless")),
         description=entry.get("description", obj_id),
         image_refs=entry.get("images", {}),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenescore import geometry
 from scenescore.geometry import (
     OccupancyMask,
     OrientedBox,
@@ -210,6 +211,21 @@ class TestMeshIntersection:
             checked += 1
             assert mesh_pair_intersects(box_to_mesh(a), box_to_mesh(b)) == (pen > 0)
         assert checked > 50
+
+    def test_broadphase_blocks_give_one_block_pairs(self, monkeypatch):
+        rng = np.random.default_rng(8)
+
+        def random_bounds(n):
+            lo = rng.uniform(0, 4, (n, 3))
+            return np.stack([lo, lo + rng.uniform(0, 1, (n, 3))], axis=1)
+
+        bounds_a, bounds_b = random_bounds(53), random_bounds(40)
+        ia, ib = geometry._aabb_overlapping_pairs(bounds_a, bounds_b)
+        assert 0 < len(ia) < 53 * 40
+        monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 100)  # blocks of 2 rows
+        ja, jb = geometry._aabb_overlapping_pairs(bounds_a, bounds_b)
+        np.testing.assert_array_equal(ia, ja)
+        np.testing.assert_array_equal(ib, jb)
 
     def test_tri_tri_touching_vertex(self):
         t1 = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +10,15 @@ import pytest
 from conftest import make_box_object, make_room_scene, make_striped_object
 from scenescore.annotations import DatasetEntry, parse_spec_line
 from scenescore.geometry import ray_hit_fraction
-from scenescore.judge import JudgeError, MockJudge
+from scenescore import metrics
+from scenescore.judge import (
+    Judge,
+    JudgeError,
+    JudgeRequest,
+    MockJudge,
+    transcript_hash,
+    validate_response,
+)
 from scenescore.metrics import (
     CategoryAssignment,
     EvalConfig,
@@ -678,3 +689,105 @@ class TestEvaluateScene:
         assert "sup" in report.errors
         assert report.nav == 1.0  # geometry-only metrics still ran
         assert report.col_ob == 0.0
+
+
+class CountingJudge(Judge):
+    """Counts calls per task and the most calls in flight at once."""
+
+    def __init__(self, inner, delay_s=0.0):
+        self.inner = inner
+        self.delay_s = delay_s
+        self.calls = Counter()
+        self.in_flight = 0
+        self.in_flight_max = 0
+        self._lock = threading.Lock()
+
+    def judge(self, request):
+        with self._lock:
+            self.calls[request.task] += 1
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+        try:
+            time.sleep(self.delay_s)
+            return self.inner.judge(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def serial_report(monkeypatch, scene, entry, judge):
+    """The report with nothing prefetched: each request is asked where it is read."""
+    with monkeypatch.context() as m:
+        m.setattr(metrics._SceneJudge, "prefetch", lambda self, requests: None)
+        return evaluate_scene(scene, entry, judge, CONFIG)
+
+
+def drop_match_row(judge, description):
+    judge.table = {
+        (task, payload): response for (task, payload), response in judge.table.items()
+        if task != "match_category"
+        or json.loads(payload)["object_description"] != description
+    }
+
+
+class TestJudgeDispatch:
+    def test_identical_objects_ask_once(self):
+        chairs = [
+            make_box_object(f"chair_{i}", [0.5, 0.5, 0.9], [0.5 + 0.6 * i, 3, 0.45],
+                            description="wooden chair")
+            for i in range(10)
+        ]
+        scene = make_room_scene(size=(7.0, 6.0), objects=chairs)
+        entry = DatasetEntry(
+            "chairs", "easy", "Ten wooden chairs in a row.",
+            (parse_spec_line("count", "eq,10,chair"),),
+            (parse_spec_line("attribute", "eq,10,chair,wooden"),), (), (),
+        )
+        judge = CountingJudge(MockJudge([
+            match_row("wooden chair", ["chair"], "chair"),
+            attribute_row("wooden chair", "chair", "wooden", True),
+            support_row("wooden chair", "ground"),
+            sides_row("wooden chair", ["front"]),
+        ]))
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert report.errors == {}
+        assert report.cnt_percent == 100.0 and report.atr_percent == 100.0
+        assert judge.calls == {
+            "match_category": 1, "verify_attribute": 1, "support_type": 1, "functional_sides": 1,
+        }
+
+    def test_requests_overlap(self):
+        scene, entry, mock = full_fixture()
+        judge = CountingJudge(mock, delay_s=0.05)
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert report.errors == {}
+        assert judge.in_flight_max > 1
+
+    def test_report_equals_serial(self, monkeypatch):
+        scene, entry, judge = full_fixture()
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        serial = serial_report(monkeypatch, scene, entry, judge)
+        assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
+        # every fixture row is read once: the hash of the whole table
+        expected = {}
+        for (task, payload), response in judge.table.items():
+            request = JudgeRequest(task, json.loads(payload))
+            expected[request.content_hash] = validate_response(request, response)
+        assert report.judge_transcript_hash == transcript_hash(expected)
+
+    def test_failed_match_names_object(self, monkeypatch):
+        scene, entry, judge = full_fixture()
+        drop_match_row(judge, "wooden nightstand")
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert "object 'ns1'" in report.errors["matching"]
+        assert report.to_dict() == serial_report(monkeypatch, scene, entry, judge).to_dict()
+
+    def test_unread_failure_changes_nothing(self, monkeypatch):
+        scene, entry, judge = full_fixture()
+        drop_match_row(judge, "wooden nightstand")
+        with_mapping = evaluate_scene(scene, entry, judge, CONFIG)
+        # matching fails, so OOR never reads its mapping
+        judge.table = {k: v for k, v in judge.table.items() if k[0] != "map_oo_relation"}
+        without_mapping = evaluate_scene(scene, entry, judge, CONFIG)
+        assert without_mapping.to_dict() == with_mapping.to_dict()
+        assert set(without_mapping.errors) == {"matching"}

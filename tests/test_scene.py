@@ -10,6 +10,7 @@ from scenescore.scene import (
     SceneLoadError,
     arch_from_polygon,
     load_scene,
+    object_from_mesh,
     save_manifest,
     world_front_vector,
 )
@@ -108,6 +109,31 @@ class TestLoadScene:
         entry = b.add_box("cube", [1, 1, 1], center=[3, 3, 0.5])
         entry[field] = value
         with pytest.raises(SceneLoadError, match=message):
+            load_scene(b.write())
+
+    @pytest.mark.parametrize("placement,message", [
+        ({"translation": (float("nan"), 3, 0.5)}, "translation has non-finite values"),
+        ({"rotation": np.diag([1.0, 1.0, float("inf")])}, "rotation has non-finite values"),
+        ({"rotation": np.diag([2.0, 1.0, 1.0])}, "rotation is not orthonormal"),
+        ({"front_axis": (0.0, float("nan"), 0.0)}, "non-finite front axis"),
+        ({"front_axis": (0.0, 0.0, 0.0)}, "zero-length front axis"),
+    ], ids=["nan-translation", "inf-rotation", "scaled-rotation", "nan-front-axis",
+            "zero-front-axis"])
+    def test_programmatic_placement_checked(self, placement, message):
+        with pytest.raises(SceneLoadError, match=f"object 'x': {message}"):
+            object_from_mesh("x", box_mesh([1, 1, 1]), **placement)
+
+    def test_non_finite_floor_polygon_rejected(self):
+        polygon = [[0, 0, 0], [6, 0, 0], [6, 6, float("nan")], [0, 6, 0]]
+        with pytest.raises(SceneLoadError, match="element 'f': polygon has non-finite"):
+            arch_from_polygon("f", "floor", polygon)
+
+    def test_non_finite_wall_polygon_rejected(self, scene_builder):
+        b = scene_builder()
+        b.add_room()
+        b.architecture[1]["polygon"][2][2] = float("inf")
+        wall_id = b.architecture[1]["id"]
+        with pytest.raises(SceneLoadError, match=f"element '{wall_id}': polygon has non-finite"):
             load_scene(b.write())
 
     @pytest.mark.parametrize("normal", [[float("nan"), 1, 0], [0, float("inf"), 0]],
