@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 # Parity rays use a fixed, slightly irrational direction so axis-aligned
 # fixture geometry never produces edge-grazing hits.
@@ -29,9 +29,12 @@ RAY_T_MIN = 1e-9  # m; hits nearer than this along the ray are ignored
 RAY_CHUNK = 512  # rays per (N, F) distance block
 TRI_TOUCH_TOL = 1e-10  # m; plane distances within this count as touching
 SUPPORT_HULL_TOL = 1e-6  # m; centroid distance allowed from a degenerate hull
-# Box pairs compared per block by the COL broadphase: its float64 temporaries
-# stay under 100 MB whatever the triangle counts.
+# Box pairs compared per block by the COL broadphase and by the distance
+# search's gap kernel: their float64 temporaries stay under 100 MB whatever
+# the triangle counts.
 AABB_PAIR_BLOCK = 2**20
+# (triangle, cell) candidates the rasterizer tests per block.
+RASTER_BLOCK = 2**16
 # Floor-plan grids hold one bool grid per object besides the scene grids, so
 # a floor given in the wrong units must fail before any of them is allocated.
 MAX_OCCUPANCY_CELLS = 2**22
@@ -515,38 +518,93 @@ def tri_pair_distances(tri1: np.ndarray, tri2: np.ndarray) -> np.ndarray:
     return best
 
 
-def _aabb_pair_gaps(bounds_a, bounds_b):
-    """(Fa, Fb) lower-bound distances between per-triangle AABBs."""
-    gap = np.maximum(
-        bounds_a[:, None, 0] - bounds_b[None, :, 1],
-        bounds_b[None, :, 0] - bounds_a[:, None, 1],
-    )
-    gap = np.maximum(gap, 0.0)
-    return np.sqrt((gap**2).sum(axis=2))
+def _aabb_pair_gaps(bounds_a, bounds_b, limit: float):
+    """Index pairs (i, j) whose per-triangle AABB gap is at most `limit`, and the gaps.
+
+    The gap is a lower bound on the distance between the two triangles.  Rows
+    of `bounds_a` are compared in blocks of at most AABB_PAIR_BLOCK pairs.
+    """
+    rows = max(1, AABB_PAIR_BLOCK // max(len(bounds_b), 1))
+    ia, ib = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    gaps = [np.zeros(0)]
+    for s in range(0, len(bounds_a), rows):
+        block = bounds_a[s : s + rows]
+        sq = np.zeros((len(block), len(bounds_b)))
+        gap = np.empty_like(sq)
+        other = np.empty_like(sq)
+        for k in range(3):
+            np.subtract(block[:, None, 0, k], bounds_b[None, :, 1, k], out=gap)
+            np.subtract(bounds_b[None, :, 0, k], block[:, None, 1, k], out=other)
+            np.maximum(gap, other, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.multiply(gap, gap, out=gap)
+            sq += gap
+        i, j = np.nonzero(sq <= limit * limit)
+        ia.append(i + s)
+        ib.append(j)
+        gaps.append(np.sqrt(sq[i, j]))
+    return np.concatenate(ia), np.concatenate(ib), np.concatenate(gaps)
 
 
-def closest_surface_distance(mesh_a: TriMesh, mesh_b: TriMesh) -> float:
-    """Minimum distance between two mesh surfaces; 0 when touching or intersecting."""
+def _surface_vertices(mesh: TriMesh) -> np.ndarray:
+    """The vertices some face uses: points on the surface."""
+    return mesh.vertices[np.unique(mesh.faces)]
+
+
+def surface_distance_bracket(mesh_a: TriMesh, mesh_b: TriMesh, settled=None, intersects=None):
+    """(lo, hi) bounds on the closest surface distance; 0 when touching or intersecting.
+
+    The bracket is tightened in this order (Ericson, Real-Time Collision
+    Detection, ch. 5-6): the gap between the meshes' AABBs (a lower bound),
+    the closest pair of surface vertices (an upper bound), whether the meshes
+    intersect, then a branch and bound over triangle pairs in order of their
+    AABB gaps.  `settled(lo, hi)` is asked after each step and ends the search
+    when it returns True; without it the search runs to the exact distance,
+    lo == hi.  `intersects()` supplies the `mesh_pair_intersects` result, so a
+    caller can share it between queries.
+    """
     if len(mesh_a) == 0 or len(mesh_b) == 0:
         raise ValueError("meshes must be non-empty")
-    if mesh_pair_intersects(mesh_a, mesh_b):
-        return 0.0
-    lb = _aabb_pair_gaps(mesh_a.tri_bounds, mesh_b.tri_bounds)
-    order = np.argsort(lb, axis=None)
-    ia, ib = np.unravel_index(order, lb.shape)
-    lb_sorted = lb[ia, ib]
-    best = np.inf
+    ba, bb = mesh_a.bounds, mesh_b.bounds
+    gap = np.maximum(np.maximum(ba[0] - bb[1], bb[0] - ba[1]), 0.0)
+    lo, hi = float(np.sqrt(gap @ gap)), math.inf
+    if settled is not None and settled(lo, hi):
+        return lo, hi
+    tree = cKDTree(_surface_vertices(mesh_b))
+    hi = float(tree.query(_surface_vertices(mesh_a))[0].min())
+    if settled is not None and settled(lo, hi):
+        return lo, hi
+    if intersects() if intersects is not None else mesh_pair_intersects(mesh_a, mesh_b):
+        return 0.0, 0.0
+    # The triangle pair holding the closest vertex pair has a box gap of at
+    # most `hi`; pairs further apart cannot hold the minimum.  The slack
+    # keeps that pair when rounding puts its gap a hair above `hi`.
+    ia, ib, lb = _aabb_pair_gaps(mesh_a.tri_bounds, mesh_b.tri_bounds, hi + 1e-9 * (1.0 + hi))
+    order = np.argsort(lb, kind="stable")
+    ia, ib, lb = ia[order], ib[order], lb[order]
+    best = math.inf
     chunk = 512
-    for s in range(0, len(order), chunk):
-        if lb_sorted[s] >= best:
+    for s in range(0, len(lb), chunk):
+        if lb[s] >= best:
             break
-        i = ia[s : s + chunk]
-        j = ib[s : s + chunk]
+        i, j = ia[s : s + chunk], ib[s : s + chunk]
         d = tri_pair_distances(mesh_a.triangles[i], mesh_b.triangles[j])
         best = min(best, float(d.min()))
         if best <= 0.0:
-            return 0.0
-    return best
+            return 0.0, 0.0
+        following = float(lb[s + chunk]) if s + chunk < len(lb) else math.inf
+        lo, hi = max(lo, min(best, following)), min(hi, best)
+        if settled is not None and settled(lo, hi):
+            return lo, hi
+    return best, best
+
+
+def closest_surface_distance(mesh_a: TriMesh, mesh_b: TriMesh, intersects=None) -> float:
+    """Minimum distance between two mesh surfaces; 0 when touching or intersecting.
+
+    The search of `surface_distance_bracket` run without an early stop.
+    """
+    return surface_distance_bracket(mesh_a, mesh_b, intersects=intersects)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,45 +676,72 @@ def points_in_triangles_2d(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
 def rasterize_triangles_2d(tris_2d: np.ndarray, origin, resolution: float, shape) -> np.ndarray:
     """Conservative rasterization: a cell is set when a triangle overlaps its square.
 
-    Degenerate (projected-to-segment) triangles are handled by the same
-    separating-axis test, so vertical walls mark the cells they cross.
+    Each triangle is tested against the cells of its clipped cell box by the
+    separating-axis test on the two grid axes and each non-degenerate edge's
+    normal, with 1e-12 m slack.  Degenerate (projected-to-segment) triangles
+    take the same test, so vertical walls mark the cells they cross.  All
+    (triangle, cell) candidates are tested at once, in blocks of at most
+    RASTER_BLOCK; a triangle whose cell box holds more is split by rows.
     """
     h, w = shape
-    grid = np.zeros((h, w), dtype=bool)
+    grid = np.zeros(h * w, dtype=bool)
+    tris = np.asarray(tris_2d, dtype=float).reshape(-1, 3, 2)
     origin = np.asarray(origin, dtype=float)
-    half = resolution / 2.0
-    for tri in tris_2d:
-        lo = tri.min(axis=0)
-        hi = tri.max(axis=0)
-        c0 = max(int(np.floor((lo[0] - origin[0]) / resolution)), 0)
-        c1 = min(int(np.floor((hi[0] - origin[0]) / resolution)), w - 1)
-        r0 = max(int(np.floor((lo[1] - origin[1]) / resolution)), 0)
-        r1 = min(int(np.floor((hi[1] - origin[1]) / resolution)), h - 1)
-        if c1 < c0 or r1 < r0:
-            continue
-        xs = origin[0] + (np.arange(c0, c1 + 1) + 0.5) * resolution
-        ys = origin[1] + (np.arange(r0, r1 + 1) + 0.5) * resolution
-        cx, cy = np.meshgrid(xs, ys)
-        centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    first = np.floor((lo - origin) / resolution)
+    last = np.floor((hi - origin) / resolution)
+    c0 = np.clip(first[:, 0], 0, w).astype(np.int64)
+    c1 = np.clip(last[:, 0], -1, w - 1).astype(np.int64)
+    r0 = np.clip(first[:, 1], 0, h).astype(np.int64)
+    r1 = np.clip(last[:, 1], -1, h - 1).astype(np.int64)
+    cols, rows = c1 - c0 + 1, r1 - r0 + 1
+    t = np.flatnonzero((cols > 0) & (rows > 0))
 
-        axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        for i in range(3):
-            e = tri[(i + 1) % 3] - tri[i]
-            n = np.linalg.norm(e)
-            if n > 1e-12:
-                axes.append(np.array([-e[1], e[0]]) / n)
-        overlap = np.ones(len(centers), dtype=bool)
-        for ax in axes:
-            tp = tri @ ax
-            cp = centers @ ax
-            r = half * (abs(ax[0]) + abs(ax[1]))
-            overlap &= (cp + r >= tp.min() - 1e-12) & (cp - r <= tp.max() + 1e-12)
-            if not overlap.any():
-                break
-        if overlap.any():
-            sub = grid[r0 : r1 + 1, c0 : c1 + 1]
-            sub |= overlap.reshape(r1 - r0 + 1, c1 - c0 + 1)
-    return grid
+    # Edge normals and each triangle's extent along them; a degenerate edge
+    # gets a zero normal and an unbounded extent, so it never separates.
+    edges = np.roll(tris, -1, axis=1) - tris
+    length = np.sqrt(edges[..., 0] ** 2 + edges[..., 1] ** 2)
+    valid = length > 1e-12
+    normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+    normals = np.where(valid[..., None], normals / np.where(valid, length, 1.0)[..., None], 0.0)
+    proj = np.einsum("tvi,tki->tkv", tris, normals)
+    pmin = np.where(valid, proj.min(axis=2), -np.inf)
+    pmax = np.where(valid, proj.max(axis=2), np.inf)
+
+    # One piece per triangle, or one per band of rows for a box over the cap.
+    band = np.maximum(RASTER_BLOCK // cols[t], 1)
+    pieces = -(-rows[t] // band)
+    within = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    band = np.repeat(band, pieces)
+    pt = np.repeat(t, pieces)
+    pr0 = r0[pt] + within * band
+    counts = (np.minimum(pr0 + band - 1, r1[pt]) - pr0 + 1) * cols[pt]
+    ends = np.cumsum(counts)
+
+    half = resolution / 2.0
+    eps = 1e-12
+    start = 0
+    while start < len(pt):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + RASTER_BLOCK, side="right")), start + 1)
+        n = counts[start:stop]
+        piece = np.repeat(np.arange(start, stop), n)
+        offset = np.arange(n.sum()) - np.repeat(ends[start:stop] - n - base, n)
+        tri = pt[piece]
+        row = pr0[piece] + offset // cols[tri]
+        col = c0[tri] + offset % cols[tri]
+        cx = origin[0] + (col + 0.5) * resolution
+        cy = origin[1] + (row + 0.5) * resolution
+        hit = (cx + half >= lo[tri, 0] - eps) & (cx - half <= hi[tri, 0] + eps)
+        hit &= (cy + half >= lo[tri, 1] - eps) & (cy - half <= hi[tri, 1] + eps)
+        for k in range(3):
+            nx, ny = normals[tri, k, 0], normals[tri, k, 1]
+            cp = cx * nx + cy * ny
+            r = half * (np.abs(nx) + np.abs(ny))
+            hit &= (cp + r >= pmin[tri, k] - eps) & (cp - r <= pmax[tri, k] + eps)
+        grid[row[hit] * w + col[hit]] = True
+        start = stop
+    return grid.reshape(h, w)
 
 
 def floor_cover_mask(floor_meshes, origin, resolution, shape) -> np.ndarray:

@@ -36,14 +36,18 @@ from .geometry import (
     sample_mesh_surface,
     sample_points_obb,
     support_hull_check,
+    surface_distance_bracket,
 )
 from .judge import Judge, JudgeError, JudgeRequest, transcript_hash
 from .relations import (
     DISTANCE_BANDS,
+    DistanceBand,
     RelationScore,
     SideSpec,
     count_satisfied,
+    element_mesh,
     score_containment,
+    score_distance_band,
     score_face,
     score_middle_of,
     score_object_distance,
@@ -52,7 +56,7 @@ from .relations import (
     score_surround,
     score_wall_relation,
 )
-from .scene import ObjectInstance, SceneInstance
+from .scene import ArchElement, ObjectInstance, SceneInstance
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +156,57 @@ class _SceneJudge(Judge):
             raise result
         self.responses[key] = result
         return result
+
+
+def _pair_key(a, b) -> tuple:
+    ka = ("arch" if isinstance(a, ArchElement) else "object", a.id)
+    kb = ("arch" if isinstance(b, ArchElement) else "object", b.id)
+    return (ka, kb) if ka <= kb else (kb, ka)
+
+
+class PairCache:
+    """One scene's pair results, shared by COL, OOR and OAR.
+
+    Entries are keyed by the unordered pair of objects or architecture
+    elements; the two kinds are keyed apart, so an object and a wall with the
+    same id never share one.  It holds `mesh_pair_intersects` results and
+    exact closest-surface distances.  `evaluate_scene` builds one per call.
+    """
+
+    def __init__(self):
+        self._intersects: dict[tuple, bool] = {}
+        self._distances: dict[tuple, float] = {}
+
+    def intersects(self, a, b) -> bool:
+        key = _pair_key(a, b)
+        if key not in self._intersects:
+            self._intersects[key] = mesh_pair_intersects(element_mesh(a), element_mesh(b))
+        return self._intersects[key]
+
+    def distance(self, a, b) -> float:
+        """The exact closest surface distance."""
+        key = _pair_key(a, b)
+        if key not in self._distances:
+            self._distances[key] = closest_surface_distance(
+                element_mesh(a), element_mesh(b), intersects=lambda: self.intersects(a, b)
+            )
+        return self._distances[key]
+
+    def bracket(self, a, b, band: DistanceBand) -> tuple[float, float]:
+        """Distance bounds that decide `band`; exact when only the exact distance can."""
+        key = _pair_key(a, b)
+        if key in self._distances:
+            d = self._distances[key]
+            return d, d
+        lo, hi = surface_distance_bracket(
+            element_mesh(a),
+            element_mesh(b),
+            settled=band.settles,
+            intersects=lambda: self.intersects(a, b),
+        )
+        if not band.settles(lo, hi):  # the search ran to the exact distance
+            self._distances[key] = lo
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +398,10 @@ def _score_oo_pair(
     relation: str,
     side,
     samples: np.ndarray,
+    pairs: PairCache,
 ) -> RelationScore:
     if relation in DISTANCE_BANDS:
-        return score_object_distance(target, anchor, relation)
+        return score_object_distance(target, anchor, relation, pairs)
     if relation in ("inside", "outside"):
         return score_containment(target.obb, anchor.obb, relation, samples)
     if relation == "face":
@@ -393,13 +449,30 @@ def _oo_tuples(assignment: CategoryAssignment, mapping: dict, relation_text: str
             yield anchor_id, group
 
 
+def _weakest_member(anchor, group, relation, side, cache, pairs) -> RelationScore:
+    """The lowest member score, or the first negative one; 0 when a member cannot be scored."""
+    weakest = None
+    for g in group:
+        try:
+            score = _score_oo_pair(g, anchor, relation, side, cache.points(g), pairs)
+        except ValueError:  # e.g. frontless target in a face relation
+            return RelationScore(0.0)
+        if not score.positive:
+            return score
+        if weakest is None or score.value < weakest.value:
+            weakest = score
+    return weakest
+
+
 def eval_oo(
     scene: SceneInstance,
     assignment: CategoryAssignment,
     oo_specs,
     judge: Judge,
     config: EvalConfig,
+    pairs: PairCache | None = None,
 ) -> list[SpecResult]:
+    pairs = pairs or PairCache()
     cache = _SampleCache(config)
     results = []
     for spec in oo_specs:
@@ -419,6 +492,7 @@ def eval_oo(
             continue
 
         def scorer(tup):
+            """The tuple's relation scores, up to and including the first negative one."""
             anchor_id, group_ids = tup
             anchor = scene.object_by_id(anchor_id)
             group = [scene.object_by_id(i) for i in group_ids]
@@ -426,20 +500,14 @@ def eval_oo(
             for relation, side in zip(mapping["relation_types"], mapping["sides"]):
                 if relation == "surround":
                     if len(group) < 2:
-                        scores.append(RelationScore(0.0))
-                        continue
-                    s, _ = score_surround(anchor.obb, [g.obb for g in group])
-                    scores.append(s)
+                        score = RelationScore(0.0)
+                    else:
+                        score, _ = score_surround(anchor.obb, [g.obb for g in group])
                 else:
-                    try:
-                        member_scores = [
-                            _score_oo_pair(g, anchor, relation, side, cache.points(g))
-                            for g in group
-                        ]
-                    except ValueError:  # e.g. frontless target in a face relation
-                        scores.append(RelationScore(0.0))
-                        continue
-                    scores.append(min(member_scores, key=lambda s: s.value))
+                    score = _weakest_member(anchor, group, relation, side, cache, pairs)
+                scores.append(score)
+                if not score.positive:
+                    break
             return scores
 
         sat = count_satisfied(
@@ -476,7 +544,9 @@ def eval_oa(
     oa_specs,
     judge: Judge,
     config: EvalConfig,
+    pairs: PairCache | None = None,
 ) -> list[SpecResult]:
+    pairs = pairs or PairCache()
     cache = _SampleCache(config)
     floor_ids = [f.id for f in scene.floors]
     results = []
@@ -524,25 +594,26 @@ def eval_oa(
             try:
                 if relation in ROOM_RELATIONS:
                     return [
-                        score_room_relation(obj, element, relation, scene, cache.points(obj))
+                        score_room_relation(
+                            obj, element, relation, scene, cache.points(obj), pairs
+                        )
                     ]
                 if relation in WALL_RELATIONS:
-                    return [score_wall_relation(obj, element, relation, cache.points(obj))]
+                    return [
+                        score_wall_relation(obj, element, relation, cache.points(obj), pairs)
+                    ]
                 if relation == "hang_ceiling":
-                    return [score_wall_relation(obj, element, relation)]
+                    return [score_wall_relation(obj, element, relation, pairs=pairs)]
                 if hasattr(element, "floor_ids"):  # distance to a room: nearest floor
-                    d = min(
-                        closest_surface_distance(obj.world_mesh, f.mesh)
-                        for f in scene.room_floors(element)
-                    )
-                    return [RelationScore(DISTANCE_BANDS[relation].score(d))]
-                return [score_object_distance(obj, element, relation)]
+                    d = min(pairs.distance(obj, f) for f in scene.room_floors(element))
+                    return [score_distance_band(d, DISTANCE_BANDS[relation])]
+                return [score_object_distance(obj, element, relation, pairs)]
             except ValueError as exc:
                 logger.warning("spec '%s': %s", line, exc)
                 return [RelationScore(0.0)]
 
-        pairs = [(i, e) for i in instance_ids for e in elements]
-        sat = count_satisfied(spec.quantifier, spec.quantity, pairs, scorer)
+        candidates = [(i, e) for i in instance_ids for e in elements]
+        sat = count_satisfied(spec.quantifier, spec.quantity, candidates, scorer)
         results.append(
             SpecResult(
                 line,
@@ -559,14 +630,15 @@ def eval_oa(
 # ---------------------------------------------------------------------------
 
 
-def eval_collision(scene: SceneInstance):
+def eval_collision(scene: SceneInstance, pairs: PairCache | None = None):
     """All-pairs mesh collision: (% objects in collision, any-collision, pairs)."""
+    pairs = pairs or PairCache()
     colliding_pairs = []
     in_collision = set()
     objs = scene.objects
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
-            if mesh_pair_intersects(objs[i].world_mesh, objs[j].world_mesh):
+            if pairs.intersects(objs[i], objs[j]):
                 colliding_pairs.append((objs[i].id, objs[j].id))
                 in_collision.add(objs[i].id)
                 in_collision.add(objs[j].id)
@@ -826,6 +898,7 @@ def evaluate_scene(
     """
     config = config or EvalConfig()
     scene_judge = _SceneJudge(judge)
+    pairs = PairCache()
     report = SceneReport(
         scene_id=scene.manifest_path.parent.name if scene.manifest_path else entry.id,
         entry_id=entry.id,
@@ -848,8 +921,14 @@ def evaluate_scene(
         for name, runner in (
             ("cnt", lambda: eval_count(assignment, entry.counts)),
             ("atr", lambda: eval_attribute(scene, assignment, entry.attributes, scene_judge)),
-            ("oor", lambda: eval_oo(scene, assignment, entry.oo_relations, scene_judge, config)),
-            ("oar", lambda: eval_oa(scene, assignment, entry.oa_relations, scene_judge, config)),
+            (
+                "oor",
+                lambda: eval_oo(scene, assignment, entry.oo_relations, scene_judge, config, pairs),
+            ),
+            (
+                "oar",
+                lambda: eval_oa(scene, assignment, entry.oa_relations, scene_judge, config, pairs),
+            ),
         ):
             try:
                 setattr(report, name, runner())
@@ -857,7 +936,7 @@ def evaluate_scene(
                 report.errors[name] = str(exc)
 
     try:
-        report.col_ob, report.col_sc, report.colliding_pairs = eval_collision(scene)
+        report.col_ob, report.col_sc, report.colliding_pairs = eval_collision(scene, pairs)
     except ValueError as exc:
         report.errors["col"] = str(exc)
     try:

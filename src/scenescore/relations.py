@@ -17,12 +17,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .annotations import check_quantifier
-from .geometry import closest_surface_distance, ray_hit_fraction, ray_mesh_distances
+from .geometry import (
+    closest_surface_distance,
+    ray_hit_fraction,
+    ray_mesh_distances,
+    surface_distance_bracket,
+)
 from .scene import ArchElement, ObjectInstance, RoomRegion, world_front_vector
 
 logger = logging.getLogger(__name__)
 
 POSITIVITY_THRESHOLD = 0.5
+# A distance bracket decides a band relation only when it clears the edge of
+# the band's positive range by this much; nearer the edge the exact distance
+# decides.
+DECISION_MARGIN = 1e-6  # m
 SIDE_OF_EXTENSION = 0.25       # anchor box inflation for side_of exclusion
 FACE_MAX_ANGLE_DEG = 30.0      # face score reaches 0 at this angle
 MIDDLE_OF_SIGMA = 0.25         # meters
@@ -95,6 +104,28 @@ class DistanceBand:
         delta = max(self.lo - d, d - self.hi)
         return math.exp(-(delta**2) / (2.0 * self.sigma**2))
 
+    @property
+    def positive_range(self) -> tuple[float, float]:
+        """[lo - delta, hi + delta]: the distances scoring at least POSITIVITY_THRESHOLD.
+
+        delta = sigma * sqrt(2 ln 2) for the 0.5 threshold, 0.294 m for sigma 0.25.
+        """
+        delta = self.sigma * math.sqrt(-2.0 * math.log(POSITIVITY_THRESHOLD))
+        return self.lo - delta, self.hi + delta
+
+    def decide(self, d_lo: float, d_hi: float) -> bool | None:
+        """Positivity of every distance in [d_lo, d_hi], or None when the bracket
+        comes within DECISION_MARGIN of an edge of the positive range."""
+        low, high = self.positive_range
+        if d_lo >= low + DECISION_MARGIN and d_hi <= high - DECISION_MARGIN:
+            return True
+        if d_hi <= low - DECISION_MARGIN or d_lo >= high + DECISION_MARGIN:
+            return False
+        return None
+
+    def settles(self, d_lo: float, d_hi: float) -> bool:
+        return self.decide(d_lo, d_hi) is not None
+
 
 DISTANCE_BANDS = {
     "next_to": DistanceBand(0.0, 0.5, 0.25),
@@ -132,11 +163,37 @@ def score_distance_band(d: float, band: DistanceBand) -> RelationScore:
     return RelationScore(band.score(d))
 
 
-def score_object_distance(target: ObjectInstance, anchor, relation: str) -> RelationScore:
-    """next_to/near/across/far via closest mesh surface distance."""
-    anchor_mesh = anchor.mesh if isinstance(anchor, ArchElement) else anchor.world_mesh
-    d = closest_surface_distance(target.world_mesh, anchor_mesh)
-    return score_distance_band(d, DISTANCE_BANDS[relation])
+def element_mesh(element):
+    """The world mesh of an object or an architecture element."""
+    return element.mesh if isinstance(element, ArchElement) else element.world_mesh
+
+
+def _exact_distance(a, b, pairs) -> float:
+    if pairs is not None:
+        return pairs.distance(a, b)
+    return closest_surface_distance(element_mesh(a), element_mesh(b))
+
+
+def score_object_distance(
+    target: ObjectInstance, anchor, relation: str, pairs=None
+) -> RelationScore:
+    """next_to/near/across/far from the closest surface distance.
+
+    The distance search stops as soon as its bracket decides the band
+    (`DistanceBand.decide`).  The value is the band's score at the exact
+    distance when the search had to be exact.  Otherwise it is the band's
+    score at the bracket end nearer the band, which is on the same side of
+    POSITIVITY_THRESHOLD as the score at the exact distance.  `pairs`, a
+    scene's `metrics.PairCache`, shares the search's results between calls.
+    """
+    band = DISTANCE_BANDS[relation]
+    if pairs is not None:
+        lo, hi = pairs.bracket(target, anchor, band)
+    else:
+        lo, hi = surface_distance_bracket(
+            element_mesh(target), element_mesh(anchor), settled=band.settles
+        )
+    return RelationScore(max(band.score(lo), band.score(hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +396,7 @@ def score_room_relation(
     kind: str,
     scene,
     samples: np.ndarray | None = None,
+    pairs=None,
 ) -> RelationScore:
     if kind == "inside_room":
         if samples is None:
@@ -367,8 +425,8 @@ def score_room_relation(
                 wi, wj = walls[i], walls[j]
                 if abs(float(wi.front_normal @ wj.front_normal)) > CORNER_PERPENDICULAR_DOT:
                     continue
-                si = CORNER_WALL_BAND.score(closest_surface_distance(obj.world_mesh, wi.mesh))
-                sj = CORNER_WALL_BAND.score(closest_surface_distance(obj.world_mesh, wj.mesh))
+                si = CORNER_WALL_BAND.score(_exact_distance(obj, wi, pairs))
+                sj = CORNER_WALL_BAND.score(_exact_distance(obj, wj, pairs))
                 best = max(best, si * sj)
         return RelationScore(best)
     raise ValueError(f"unknown room relation '{kind}'")
@@ -379,12 +437,12 @@ def score_wall_relation(
     element: ArchElement,
     kind: str,
     samples: np.ndarray | None = None,
+    pairs=None,
 ) -> RelationScore:
     if kind == "hang_ceiling":
         if element.kind != "ceiling":
             raise ValueError("hang_ceiling requires a ceiling element")
-        d = closest_surface_distance(obj.world_mesh, element.mesh)
-        return RelationScore(HANG_CEILING_BAND.score(d))
+        return RelationScore(HANG_CEILING_BAND.score(_exact_distance(obj, element, pairs)))
     if kind in ("on_wall", "against_wall"):
         if element.kind != "wall":
             raise ValueError(f"{kind} requires a wall element")
@@ -394,7 +452,7 @@ def score_wall_relation(
         in_front = ((samples - anchor_point) @ element.front_normal) > 0.0
         s_f = float(in_front.mean())
         band = ON_WALL_BAND if kind == "on_wall" else AGAINST_WALL_BAND
-        s_d = band.score(closest_surface_distance(obj.world_mesh, element.mesh))
+        s_d = band.score(_exact_distance(obj, element, pairs))
         return RelationScore(s_f * s_d)
     raise ValueError(f"unknown wall relation '{kind}'")
 

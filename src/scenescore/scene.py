@@ -21,10 +21,10 @@ from .geometry import (
     OrientedBox,
     SceneOccupancy,
     TriMesh,
-    closest_surface_distance,
     points_in_triangles_2d,
     polygon_planarity,
     polygon_to_mesh,
+    surface_distance_bracket,
 )
 
 logger = logging.getLogger(__name__)
@@ -325,13 +325,25 @@ def _load_room(entry, arch_by_id) -> RoomRegion:
             raise SceneLoadError(f"room '{entry['id']}' references unknown floor '{fid}'")
         floors.append(arch_by_id[fid])
     walls = [
-        a
-        for a in arch_by_id.values()
-        if a.kind == "wall"
-        and min(closest_surface_distance(a.mesh, f.mesh) for f in floors)
-        <= WALL_ROOM_ATTACH_DISTANCE
+        a for a in arch_by_id.values() if a.kind == "wall" and _attached(a, floors)
     ]
     return make_room(entry["id"], entry.get("room_type", ""), floors, walls)
+
+
+def _attached(wall: ArchElement, floors) -> bool:
+    """True when the wall is within WALL_ROOM_ATTACH_DISTANCE of a floor.
+
+    The distance search stops once its bracket is on one side of the limit.
+    """
+
+    def settled(lo, hi):
+        return lo > WALL_ROOM_ATTACH_DISTANCE or hi <= WALL_ROOM_ATTACH_DISTANCE
+
+    return any(
+        surface_distance_bracket(wall.mesh, f.mesh, settled=settled)[1]
+        <= WALL_ROOM_ATTACH_DISTANCE
+        for f in floors
+    )
 
 
 def load_scene(manifest_path) -> SceneInstance:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenescore.geometry import box_mesh
+from scenescore.geometry import TriMesh, box_mesh
 from scenescore.meshio import write_obj
 from scenescore.scene import (
     SceneInstance,
@@ -32,6 +32,35 @@ def make_box_object(obj_id, extents, center, yaw=0.0, front_axis=(0, 1, 0),
         frontless=frontless,
         description=description,
     )
+
+
+def uv_sphere_mesh(radius, stacks, slices, center=(0.0, 0.0, 0.0)):
+    """Closed UV sphere of 2 * slices * (stacks - 1) triangles, poles on z."""
+    theta = np.pi * np.arange(1, stacks) / stacks
+    phi = 2.0 * np.pi * np.arange(slices) / slices
+    rings = np.stack(
+        [
+            np.outer(np.sin(theta), np.cos(phi)),
+            np.outer(np.sin(theta), np.sin(phi)),
+            np.repeat(np.cos(theta)[:, None], slices, axis=1),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    verts = np.vstack([[0.0, 0.0, 1.0], rings, [0.0, 0.0, -1.0]]) * radius + center
+    bottom = len(verts) - 1
+
+    def v(i, j):
+        return 1 + i * slices + j % slices
+
+    faces = [(0, v(0, j), v(0, j + 1)) for j in range(slices)]
+    for i in range(stacks - 2):
+        for j in range(slices):
+            faces += [
+                (v(i, j), v(i + 1, j), v(i, j + 1)),
+                (v(i, j + 1), v(i + 1, j), v(i + 1, j + 1)),
+            ]
+    faces += [(bottom, v(stacks - 2, j + 1), v(stacks - 2, j)) for j in range(slices)]
+    return TriMesh(verts, faces)
 
 
 def striped_bottom_box_mesh(extents, strips=100):

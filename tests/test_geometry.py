@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from conftest import uv_sphere_mesh
 from scenescore import geometry
 from scenescore.geometry import (
     OccupancyMask,
@@ -17,6 +21,7 @@ from scenescore.geometry import (
     mesh_pair_intersects,
     point_in_mesh,
     polygon_to_mesh,
+    rasterize_triangles_2d,
     ray_hit_fraction,
     ray_mesh_distances,
     sample_mesh_surface,
@@ -25,6 +30,8 @@ from scenescore.geometry import (
     tri_tri_strict_intersect,
     triangulate_polygon_2d,
 )
+from scenescore.relations import DISTANCE_BANDS, score_object_distance
+from scenescore.scene import object_from_mesh
 
 
 def rot_z(deg):
@@ -267,7 +274,7 @@ class TestClosestDistance:
             d = closest_surface_distance(ma, mb)
             pa = sample_mesh_surface(ma, 4000, seed=1)
             pb = sample_mesh_surface(mb, 4000, seed=2)
-            approx = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2))
+            approx = cKDTree(pb).query(pa)[0].min()
             if d == 0.0:
                 assert sat_box_penetration(a, b) > -1e-9
             else:
@@ -283,6 +290,197 @@ class TestClosestDistance:
                 continue
             d = closest_surface_distance(box_to_mesh(a), box_to_mesh(b))
             assert (d == 0.0) == (pen > 0)
+
+
+    def test_dense_spheres_bounded_memory_and_blocks(self, monkeypatch):
+        # 2,108 triangles each; the closest vertices lie on the x axis, 1.5 m apart
+        a = uv_sphere_mesh(0.5, 32, 34)
+        b = uv_sphere_mesh(0.5, 32, 34, center=(2.5, 0.0, 0.0))
+        assert len(a) == len(b) == 2108
+        tracemalloc.start()
+        try:
+            d = closest_surface_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert d == pytest.approx(1.5, abs=1e-9)
+        monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 20 * len(b))  # 106 blocks
+        assert closest_surface_distance(a, b) == d
+
+    def test_gap_blocks_give_one_block_pairs(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        lo_a, lo_b = rng.uniform(0, 4, (53, 3)), rng.uniform(0, 4, (40, 3))
+        bounds_a = np.stack([lo_a, lo_a + rng.uniform(0, 1, (53, 3))], axis=1)
+        bounds_b = np.stack([lo_b, lo_b + rng.uniform(0, 1, (40, 3))], axis=1)
+        whole = geometry._aabb_pair_gaps(bounds_a, bounds_b, 1.0)
+        assert 0 < len(whole[0]) < 53 * 40
+        monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 100)  # blocks of 2 rows
+        for got, want in zip(geometry._aabb_pair_gaps(bounds_a, bounds_b, 1.0), whole):
+            np.testing.assert_array_equal(got, want)
+
+
+def sphere_pair(rng):
+    a = uv_sphere_mesh(rng.uniform(0.2, 0.8), 8, 12, center=rng.uniform(-1, 1, 3))
+    b = uv_sphere_mesh(rng.uniform(0.2, 0.8), 6, 10, center=rng.uniform(-1, 1, 3))
+    return a, b
+
+
+def translated(mesh: TriMesh, offset) -> TriMesh:
+    return TriMesh(mesh.vertices + offset, mesh.faces)
+
+
+def with_distance(mesh_a, mesh_b, target, direction):
+    """mesh_b centred on mesh_a, then moved along `direction` to distance `target`.
+
+    Bisection between the overlapping start (distance 0) and 8 m out.
+    """
+    start = translated(mesh_b, mesh_a.vertices.mean(axis=0) - mesh_b.vertices.mean(axis=0))
+    lo, hi = 0.0, 8.0
+    for _ in range(45):  # to 8 / 2**45 = 2e-13 m
+        mid = (lo + hi) / 2.0
+        if closest_surface_distance(mesh_a, translated(start, mid * direction)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return start, hi
+
+
+class TestDistanceDecision:
+    """The bracketed decision agrees with the band's score at the exact distance."""
+
+    @staticmethod
+    def check(mesh_a, mesh_b, band_name):
+        target = object_from_mesh("t", mesh_a)
+        anchor = object_from_mesh("a", mesh_b)
+        exact = DISTANCE_BANDS[band_name].score(closest_surface_distance(mesh_a, mesh_b))
+        assert score_object_distance(target, anchor, band_name).positive == (exact >= 0.5)
+
+    @pytest.mark.parametrize("band_name", sorted(DISTANCE_BANDS))
+    def test_random_pairs(self, band_name):
+        rng = np.random.default_rng(404)
+        for k in range(30):
+            if k % 2:
+                ma, mb = (box_to_mesh(box) for box in random_box_pair(rng))
+            else:
+                ma, mb = sphere_pair(rng)
+            # spread the pairs over every band, from touching to 6 m apart
+            direction = rng.normal(size=3)
+            mb = translated(mb, rng.uniform(0.0, 6.0) * direction / np.linalg.norm(direction))
+            self.check(ma, mb, band_name)
+
+    @pytest.mark.parametrize("band_name", sorted(DISTANCE_BANDS))
+    def test_pairs_at_the_edges_of_the_positive_range(self, band_name):
+        rng = np.random.default_rng(505)
+        edges = [e for e in DISTANCE_BANDS[band_name].positive_range if 0 < e < np.inf]
+        for k, edge in enumerate(edges * 2):
+            if k % 2:
+                ma, mb = (box_to_mesh(box) for box in random_box_pair(rng))
+            else:
+                ma, mb = sphere_pair(rng)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            mb, s = with_distance(ma, mb, edge, direction)
+            for shift in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
+                moved = translated(mb, (s + shift) * direction)
+                assert abs(closest_surface_distance(ma, moved) - edge) < 1e-6
+                self.check(ma, moved, band_name)
+
+
+def rasterize_reference(tris_2d, origin, resolution, shape):
+    """One triangle at a time: the separating-axis test on its cell box."""
+    h, w = shape
+    grid = np.zeros((h, w), dtype=bool)
+    origin = np.asarray(origin, dtype=float)
+    half = resolution / 2.0
+    for tri in tris_2d:
+        lo = tri.min(axis=0)
+        hi = tri.max(axis=0)
+        c0 = max(int(np.floor((lo[0] - origin[0]) / resolution)), 0)
+        c1 = min(int(np.floor((hi[0] - origin[0]) / resolution)), w - 1)
+        r0 = max(int(np.floor((lo[1] - origin[1]) / resolution)), 0)
+        r1 = min(int(np.floor((hi[1] - origin[1]) / resolution)), h - 1)
+        if c1 < c0 or r1 < r0:
+            continue
+        xs = origin[0] + (np.arange(c0, c1 + 1) + 0.5) * resolution
+        ys = origin[1] + (np.arange(r0, r1 + 1) + 0.5) * resolution
+        cx, cy = np.meshgrid(xs, ys)
+        centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+        axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        for i in range(3):
+            e = tri[(i + 1) % 3] - tri[i]
+            n = np.linalg.norm(e)
+            if n > 1e-12:
+                axes.append(np.array([-e[1], e[0]]) / n)
+        overlap = np.ones(len(centers), dtype=bool)
+        for ax in axes:
+            tp = tri @ ax
+            cp = centers @ ax
+            r = half * (abs(ax[0]) + abs(ax[1]))
+            overlap &= (cp + r >= tp.min() - 1e-12) & (cp - r <= tp.max() + 1e-12)
+        grid[r0 : r1 + 1, c0 : c1 + 1] |= overlap.reshape(r1 - r0 + 1, c1 - c0 + 1)
+    return grid
+
+
+def raster_inputs():
+    """(name, (F, 3, 2) triangles) on a 4 m grid at 0.05 m cells from (-2, -2)."""
+    rng = np.random.default_rng(61)
+    boxes = []
+    for _ in range(100):
+        for box in random_box_pair(rng):  # rotated about every axis
+            boxes.append(OrientedBox(box.center * 2.2, box.axes, box.half_extents))
+    box_tris = np.concatenate([box_to_mesh(b).triangles[:, :, :2] for b in boxes])
+    walls = [
+        polygon_to_mesh([[x0, y0, 0], [x1, y1, 0], [x1, y1, 2.5], [x0, y0, 2.5]])
+        for x0, y0, x1, y1 in (
+            (-1.5, -1.5, 1.5, -1.5),    # along x
+            (-1.5, -1.5, -1.5, 1.5),    # along y
+            (-1.2, 1.3, 1.7, -0.4),     # diagonal
+            (-1.975, 0.0, -1.975, 1.0),  # on a cell-centre line
+            (1.0, 1.0, 2.6, 2.9),       # leaves the grid
+        )
+    ]
+    wall_tris = np.concatenate([m.triangles[:, :, :2] for m in walls])
+    point = np.array([[[0.31, 0.47], [0.31, 0.47], [0.31, 0.47]]])  # a vertical edge
+    sphere = uv_sphere_mesh(0.9, 12, 24, center=(0.3, -0.2, 0.5))
+    assert len(sphere) == 528
+    return [
+        ("boxes", box_tris),
+        ("walls", np.concatenate([wall_tris, point])),
+        ("sphere", sphere.triangles[:, :, :2]),
+    ]
+
+
+class TestRasterize:
+    ORIGIN, RESOLUTION, SHAPE = np.array([-2.0, -2.0]), 0.05, (80, 80)
+
+    def assert_matches_reference(self, tris):
+        got = rasterize_triangles_2d(tris, self.ORIGIN, self.RESOLUTION, self.SHAPE)
+        want = rasterize_reference(tris, self.ORIGIN, self.RESOLUTION, self.SHAPE)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_matches_per_triangle_reference(self):
+        for name, tris in raster_inputs():
+            assert self.assert_matches_reference(tris).any(), name
+        boxes = raster_inputs()[0][1]
+        for k in range(0, len(boxes), 12):  # and each box on its own
+            self.assert_matches_reference(boxes[k : k + 12])
+
+    def test_small_blocks_match_reference(self, monkeypatch):
+        # many blocks, and every triangle box over 256 cells split by rows
+        monkeypatch.setattr(geometry, "RASTER_BLOCK", 256)
+        for name, tris in raster_inputs():
+            assert self.assert_matches_reference(tris).any(), name
+
+    def test_no_triangles_and_off_grid(self):
+        empty = np.zeros((0, 3, 2))
+        assert not self.assert_matches_reference(empty).any()
+        off = np.array([
+            [[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]],
+            [[-9.0, 0.0], [-8.0, 0.0], [-9.0, 1.0]],
+        ])
+        assert not self.assert_matches_reference(off).any()
 
 
 class TestOccupancy:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import threading
 import time
@@ -10,7 +11,7 @@ import pytest
 from conftest import make_box_object, make_room_scene, make_striped_object
 from scenescore.annotations import DatasetEntry, parse_spec_line
 from scenescore.geometry import ray_hit_fraction
-from scenescore import metrics
+from scenescore import geometry, metrics
 from scenescore.judge import (
     Judge,
     JudgeError,
@@ -791,3 +792,332 @@ class TestJudgeDispatch:
         without_mapping = evaluate_scene(scene, entry, judge, CONFIG)
         assert without_mapping.to_dict() == with_mapping.to_dict()
         assert set(without_mapping.errors) == {"matching"}
+
+
+def distance_fixture():
+    """A table, three stools and a bookshelf scored by next_to, near and against."""
+    objects = [
+        make_box_object("t1", [1.0, 1.0, 0.75], [3.0, 3.0, 0.375], description="table"),
+        make_box_object("s1", [0.4, 0.4, 0.45], [4.0, 3.0, 0.225], description="stool a"),
+        make_box_object("s2", [0.4, 0.4, 0.45], [5.0, 3.0, 0.225], description="stool b"),
+        make_box_object("s3", [0.4, 0.4, 0.45], [3.0, 1.2, 0.225], yaw=30.0,
+                        description="stool c"),
+        make_box_object("b1", [1.2, 0.4, 2.0], [2.0, 0.3, 1.0], description="bookshelf"),
+    ]
+    scene = make_room_scene(objects=objects)
+    specs = {
+        "counts": ["eq,1,table", "eq,3,stool", "eq,1,bookshelf"],
+        "oo": ["ge,2,near,0,stool,stool", "ge,1,next_to,0,table,stool"],
+        "oa": ["eq,1,against,bookshelf,wall", "ge,1,near,stool,wall"],
+    }
+    entry = DatasetEntry(
+        id="distances",
+        difficulty="medium",
+        description="A table with stools around it and a bookshelf against the wall.",
+        counts=tuple(parse_spec_line("count", l) for l in specs["counts"]),
+        attributes=(),
+        oo_relations=tuple(parse_spec_line("oo", l) for l in specs["oo"]),
+        oa_relations=tuple(parse_spec_line("oa", l) for l in specs["oa"]),
+    )
+    categories = ["table", "stool", "bookshelf"]
+    rows = [
+        oo_map_row("near", "stool", ["stool"], [1], ["near"], [None]),
+        oo_map_row("next_to", "table", ["stool"], [1], ["next_to"], [None]),
+        oa_map_row("against", "bookshelf", "wall", ["floor_room_0"], "against_wall", "wall"),
+        oa_map_row("near", "stool", "wall", ["floor_room_0"], "near", "wall"),
+    ]
+    for obj in objects:
+        category = obj.description.split()[0]
+        rows += [
+            match_row(obj.description, categories, category),
+            support_row(obj.description, "ground"),
+            sides_row(obj.description, ["front"]),
+        ]
+    return scene, entry, MockJudge(rows)
+
+
+# `to_dict()` of the two fixtures as scored before the bounds-first distance
+# search and the pair cache; a change that only makes scoring faster keeps them.
+FULL_FIXTURE_REPORT = {
+    "acc_scores": {
+        "bed1": 1.0,
+        "ns1": 1.0
+    },
+    "colliding_pairs": [],
+    "config": {
+        "resolution": 0.05,
+        "samples": 500,
+        "seed": 7
+    },
+    "difficulty": "easy",
+    "entry_id": "fixture",
+    "errors": {},
+    "judge_transcript_hash": "92458ab441b8c2a329f3f2e314c7173113796351313d56ba9176c2f3eb2d3d3f",
+    "metrics": {
+        "acc": 1.0,
+        "atr": 100.0,
+        "cnt": 100.0,
+        "col_ob": 0.0,
+        "col_sc": 0.0,
+        "nav": 1.0,
+        "oar": 100.0,
+        "oob": 0.0,
+        "oor": 100.0,
+        "sup": 100.0
+    },
+    "nav_detail": {
+        "degenerate": False,
+        "largest": 12516,
+        "total_free": 12516
+    },
+    "oob_flags": {
+        "bed1": False,
+        "ns1": False
+    },
+    "scene_id": "fixture",
+    "specs": {
+        "atr": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,nightstand,wooden"
+            }
+        ],
+        "cnt": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,bed"
+            },
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,nightstand"
+            }
+        ],
+        "oar": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,inside,bed,room"
+            }
+        ],
+        "oor": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,left,0,bed,nightstand"
+            }
+        ]
+    },
+    "sup_verdicts": {
+        "bed1": True,
+        "ns1": True
+    },
+    "unmatched_objects": []
+}
+
+DISTANCE_FIXTURE_REPORT = {
+    "acc_scores": {
+        "b1": 1.0,
+        "s1": 1.0,
+        "s2": 1.0,
+        "s3": 1.0,
+        "t1": 1.0
+    },
+    "colliding_pairs": [],
+    "config": {
+        "resolution": 0.05,
+        "samples": 500,
+        "seed": 7
+    },
+    "difficulty": "medium",
+    "entry_id": "distances",
+    "errors": {},
+    "judge_transcript_hash": "6bbe91528ae24759d52d7d9353d4c45389495a1a28d868aadfde4da973284028",
+    "metrics": {
+        "acc": 1.0,
+        "atr": None,
+        "cnt": 100.0,
+        "col_ob": 0.0,
+        "col_sc": 0.0,
+        "nav": 1.0,
+        "oar": 100.0,
+        "oob": 0.0,
+        "oor": 100.0,
+        "sup": 100.0
+    },
+    "nav_detail": {
+        "degenerate": False,
+        "largest": 12945,
+        "total_free": 12945
+    },
+    "oob_flags": {
+        "b1": False,
+        "s1": False,
+        "s2": False,
+        "s3": False,
+        "t1": False
+    },
+    "scene_id": "distances",
+    "specs": {
+        "atr": [],
+        "cnt": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,table"
+            },
+            {
+                "candidate_count": 3,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 3,
+                "spec": "eq,3,stool"
+            },
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,bookshelf"
+            }
+        ],
+        "oar": [
+            {
+                "candidate_count": 4,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,against,bookshelf,wall"
+            },
+            {
+                "candidate_count": 12,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 2,
+                "spec": "ge,1,near,stool,wall"
+            }
+        ],
+        "oor": [
+            {
+                "candidate_count": 6,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 4,
+                "spec": "ge,2,near,0,stool,stool"
+            },
+            {
+                "candidate_count": 3,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "ge,1,next_to,0,table,stool"
+            }
+        ]
+    },
+    "sup_verdicts": {
+        "b1": True,
+        "s1": True,
+        "s2": True,
+        "s3": True,
+        "t1": True
+    },
+    "unmatched_objects": []
+}
+
+
+def count_mesh_pair_tests(monkeypatch):
+    """Count mesh_pair_intersects calls per unordered pair of meshes."""
+    counts = Counter()
+    original = geometry.mesh_pair_intersects
+
+    def counting(mesh_a, mesh_b):
+        counts[frozenset((id(mesh_a), id(mesh_b)))] += 1
+        return original(mesh_a, mesh_b)
+
+    monkeypatch.setattr(geometry, "mesh_pair_intersects", counting)
+    monkeypatch.setattr(metrics, "mesh_pair_intersects", counting)
+    return counts
+
+
+class TestPairCache:
+    @pytest.mark.parametrize("fixture", [full_fixture, distance_fixture])
+    def test_each_pair_intersection_tested_once(self, monkeypatch, fixture):
+        counts = count_mesh_pair_tests(monkeypatch)
+        scene, entry, judge = fixture()
+        evaluate_scene(scene, entry, judge, CONFIG)
+        n = len(scene.objects)
+        assert len(counts) >= n * (n - 1) // 2  # COL tests every object pair
+        assert max(counts.values()) == 1
+
+    def test_distances_searched_once_per_pair(self, monkeypatch):
+        searched = Counter()
+        original = metrics.surface_distance_bracket
+
+        def counting(mesh_a, mesh_b, **kwargs):
+            searched[frozenset((id(mesh_a), id(mesh_b)))] += 1
+            return original(mesh_a, mesh_b, **kwargs)
+
+        monkeypatch.setattr(metrics, "surface_distance_bracket", counting)
+        scene, entry, judge = distance_fixture()
+        evaluate_scene(scene, entry, judge, CONFIG)
+        # the near spec scores every stool pair in both orders, once each
+        stools = [scene.object_by_id(i).world_mesh for i in ("s1", "s2", "s3")]
+        for a, b in itertools.combinations(stools, 2):
+            assert searched[frozenset((id(a), id(b)))] >= 1
+        # a bracket that decided is searched again for the other order; an exact
+        # distance is searched once and then read from the cache
+        assert max(searched.values()) <= 2
+
+    def test_object_and_element_with_one_id_keyed_apart(self):
+        twin = make_box_object("wall_s", [0.4, 0.4, 0.4], [3.0, 3.0, 0.2])
+        other = make_box_object("x", [0.4, 0.4, 0.4], [3.3, 3.0, 0.2])  # overlaps twin
+        scene = make_room_scene(objects=[twin, other])
+        wall = scene.arch_by_id("wall_s")
+        pairs = metrics.PairCache()
+        assert pairs.intersects(other, twin) and not pairs.intersects(other, wall)
+        assert pairs.distance(other, twin) == 0.0
+        assert pairs.distance(other, wall) == pytest.approx(2.8)
+        assert pairs.intersects(twin, other) and pairs.distance(wall, other) == pytest.approx(2.8)
+
+    def test_evaluations_share_no_state(self, monkeypatch):
+        scene, entry, judge = distance_fixture()
+        moved = SceneInstance(
+            [
+                make_box_object("s2", [0.4, 0.4, 0.45], [5.5, 5.5, 0.225],
+                                description="stool b")
+                if o.id == "s2" else o
+                for o in scene.objects
+            ],
+            scene.architecture,
+            scene.rooms,
+        )
+        fresh = evaluate_scene(moved, entry, judge, CONFIG).to_dict()
+        evaluate_scene(scene, entry, judge, CONFIG)
+        counts = count_mesh_pair_tests(monkeypatch)
+        after = evaluate_scene(moved, entry, judge, CONFIG).to_dict()
+        assert after == fresh
+        assert after["specs"]["oor"] != DISTANCE_FIXTURE_REPORT["specs"]["oor"]
+        assert max(counts.values()) == 1 and len(counts) >= 10
+
+    @pytest.mark.parametrize(
+        "fixture,expected",
+        [(full_fixture, FULL_FIXTURE_REPORT), (distance_fixture, DISTANCE_FIXTURE_REPORT)],
+    )
+    def test_reports_unchanged(self, fixture, expected):
+        scene, entry, judge = fixture()
+        report = evaluate_scene(scene, entry, judge, CONFIG).to_dict()
+        assert json.loads(json.dumps(report)) == expected

@@ -52,6 +52,19 @@ class TestDistanceBand:
         assert score_distance_band(5.0, DISTANCE_BANDS["far"]).value == 1.0
         assert score_distance_band(400.0, DISTANCE_BANDS["far"]).value == 1.0
 
+    def test_positive_range_and_decision(self):
+        band = DISTANCE_BANDS["near"]
+        low, high = band.positive_range
+        assert (low, high) == pytest.approx((0.5 - 0.294353, 1.5 + 0.294353), abs=1e-6)
+        assert band.score(low) == pytest.approx(0.5) and band.score(high) == pytest.approx(0.5)
+        assert band.decide(low + 1e-3, high - 1e-3) is True
+        assert band.decide(0.0, low - 1e-3) is False
+        assert band.decide(high + 1e-3, 9.0) is False
+        assert band.decide(low + 1e-7, high - 1e-3) is None  # within the margin
+        assert band.decide(high - 1e-3, high + 1e-7) is None
+        assert band.decide(0.0, 9.0) is None  # straddles an edge
+        assert DISTANCE_BANDS["far"].decide(5.0, 7.0) is True
+
     def test_continuous_at_boundary(self):
         band = DISTANCE_BANDS["near"]
         assert band.score(1.5) == 1.0

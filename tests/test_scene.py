@@ -154,6 +154,19 @@ class TestLoadScene:
         assert len(room_a.wall_ids) == 4
         assert all(w.startswith("wall_a") for w in room_a.wall_ids)
 
+    @pytest.mark.parametrize("gap,attached", [(0.14, True), (0.16, False)])
+    def test_wall_attaches_within_limit(self, scene_builder, gap, attached):
+        b = scene_builder()
+        b.add_room(size=(4, 4), walls=False)
+        b.add_arch({
+            "id": "wall_x",
+            "kind": "wall",
+            "polygon": [[1, -gap, 0], [3, -gap, 0], [3, -gap - 0.5, 2.5], [1, -gap - 0.5, 2.5]],
+            "front_normal": [0, 1, 0],
+        })
+        scene = load_scene(b.write())
+        assert scene.rooms[0].wall_ids == (("wall_x",) if attached else ())
+
     def test_room_centroid_and_extent(self, scene_builder):
         b = scene_builder()
         b.add_room(size=(6, 4), origin=(1, 2), walls=False)
