@@ -29,9 +29,9 @@ RAY_T_MIN = 1e-9  # m; hits nearer than this along the ray are ignored
 RAY_CHUNK = 512  # rays per (N, F) distance block
 TRI_TOUCH_TOL = 1e-10  # m; plane distances within this count as touching
 SUPPORT_HULL_TOL = 1e-6  # m; centroid distance allowed from a degenerate hull
-# Box pairs compared per block by the COL broadphase and by the distance
-# search's gap kernel: their float64 temporaries stay under 100 MB whatever
-# the triangle counts.
+# Box pairs compared per block by the AABB gap kernel, which serves COL's
+# broadphase and the distance search: its float64 temporaries stay under
+# 100 MB whatever the triangle counts.
 AABB_PAIR_BLOCK = 2**20
 # (triangle, cell) candidates the rasterizer tests per block.
 RASTER_BLOCK = 2**16
@@ -371,25 +371,6 @@ def tri_tri_strict_intersect(tri1: np.ndarray, tri2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aabb_overlapping_pairs(bounds_a: np.ndarray, bounds_b: np.ndarray):
-    """Index pairs (i, j) whose AABBs overlap or touch.
-
-    Touching counts: a flat face's triangles have zero-width boxes, and two
-    crossing faces may overlap on that axis by exactly zero.  Rows of
-    `bounds_a` are compared in blocks of at most AABB_PAIR_BLOCK pairs.
-    """
-    rows = max(1, AABB_PAIR_BLOCK // max(len(bounds_b), 1))
-    ia, ib = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for s in range(0, len(bounds_a), rows):
-        block = bounds_a[s : s + rows]
-        lo = np.maximum(block[:, None, 0], bounds_b[None, :, 0])
-        hi = np.minimum(block[:, None, 1], bounds_b[None, :, 1])
-        i, j = np.nonzero(((hi - lo) >= 0).all(axis=2))
-        ia.append(i + s)
-        ib.append(j)
-    return np.concatenate(ia), np.concatenate(ib)
-
-
 def mesh_pair_intersects(mesh_a: TriMesh, mesh_b: TriMesh) -> bool:
     """True iff the meshes overlap with positive penetration or one contains the other.
 
@@ -401,7 +382,9 @@ def mesh_pair_intersects(mesh_a: TriMesh, mesh_b: TriMesh) -> bool:
     ba, bb = mesh_a.bounds, mesh_b.bounds
     if ((np.minimum(ba[1], bb[1]) - np.maximum(ba[0], bb[0])) <= 0).any():
         return False
-    ia, ib = _aabb_overlapping_pairs(mesh_a.tri_bounds, mesh_b.tri_bounds)
+    # Touching boxes (gap 0) count: a flat face's triangles have zero-width
+    # boxes, and two crossing faces may overlap on that axis by exactly zero.
+    ia, ib, _ = _aabb_pair_gaps(mesh_a.tri_bounds, mesh_b.tri_bounds, 0.0)
     if len(ia) and tri_tri_strict_intersect(mesh_a.triangles[ia], mesh_b.triangles[ib]).any():
         return True
     # No surface crossing: check full containment with a vertex nudged

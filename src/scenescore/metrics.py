@@ -45,7 +45,6 @@ from .relations import (
     RelationScore,
     SideSpec,
     count_satisfied,
-    element_mesh,
     score_containment,
     score_distance_band,
     score_face,
@@ -77,6 +76,10 @@ class EvalConfig:
     resolution: float = 0.05          # occupancy cell size, meters
     samples: int = 1000               # points per box/surface sample
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -158,24 +161,42 @@ class _SceneJudge(Judge):
         return result
 
 
+def element_mesh(element):
+    """The world mesh of an object or an architecture element."""
+    return element.mesh if isinstance(element, ArchElement) else element.world_mesh
+
+
 def _pair_key(a, b) -> tuple:
     ka = ("arch" if isinstance(a, ArchElement) else "object", a.id)
     kb = ("arch" if isinstance(b, ArchElement) else "object", b.id)
     return (ka, kb) if ka <= kb else (kb, ka)
 
 
-class PairCache:
-    """One scene's pair results, shared by COL, OOR and OAR.
+class SceneGeometry:
+    """One scene's derived geometry, shared by COL, OOR and OAR.
 
-    Entries are keyed by the unordered pair of objects or architecture
+    It holds `mesh_pair_intersects` results and exact closest-surface
+    distances, keyed by the unordered pair of objects or architecture
     elements; the two kinds are keyed apart, so an object and a wall with the
-    same id never share one.  It holds `mesh_pair_intersects` results and
-    exact closest-surface distances.  `evaluate_scene` builds one per call.
+    same id never share one.  It also holds each object's box samples, drawn
+    the first time a relation reads them.  `evaluate_scene` builds one per
+    call.  The occupancy is built there too and shared by NAV and ACC, and
+    each `TriMesh` caches its own world triangles and bounds.
     """
 
-    def __init__(self):
+    def __init__(self, scene: SceneInstance, config: EvalConfig):
+        self.scene = scene
+        self.config = config
         self._intersects: dict[tuple, bool] = {}
         self._distances: dict[tuple, float] = {}
+        self._points: dict[str, np.ndarray] = {}
+
+    def points(self, obj: ObjectInstance) -> np.ndarray:
+        """`config.samples` points in the object's box, seeded by its id."""
+        if obj.id not in self._points:
+            seed = derive_seed(self.config.seed, "box", obj.id)
+            self._points[obj.id] = sample_points_obb(obj.obb, self.config.samples, seed)
+        return self._points[obj.id]
 
     def intersects(self, a, b) -> bool:
         key = _pair_key(a, b)
@@ -380,40 +401,27 @@ def eval_attribute(
     return results
 
 
-class _SampleCache:
-    def __init__(self, config: EvalConfig):
-        self.config = config
-        self._points: dict[str, np.ndarray] = {}
-
-    def points(self, obj: ObjectInstance) -> np.ndarray:
-        if obj.id not in self._points:
-            seed = derive_seed(self.config.seed, "box", obj.id)
-            self._points[obj.id] = sample_points_obb(obj.obb, self.config.samples, seed)
-        return self._points[obj.id]
-
-
 def _score_oo_pair(
     target: ObjectInstance,
     anchor: ObjectInstance,
     relation: str,
     side,
-    samples: np.ndarray,
-    pairs: PairCache,
+    geom: SceneGeometry,
 ) -> RelationScore:
     if relation in DISTANCE_BANDS:
-        return score_object_distance(target, anchor, relation, pairs)
+        return score_object_distance(target, anchor, relation, geom)
     if relation in ("inside", "outside"):
-        return score_containment(target.obb, anchor.obb, relation, samples)
+        return score_containment(target.obb, anchor.obb, relation, geom.points(target))
     if relation == "face":
-        return score_face(target, anchor, samples)
+        return score_face(target, anchor, geom.points(target))
     if relation == "side_of":
-        return score_side_family(samples, anchor, SideSpec(side, "side_of"))
+        return score_side_family(geom.points(target), anchor, SideSpec(side, "side_of"))
     if relation == "side_region":
-        return score_side_family(samples, anchor, SideSpec(side, "side_region"))
+        return score_side_family(geom.points(target), anchor, SideSpec(side, "side_region"))
     if relation == "on_top":
-        return score_side_family(samples, anchor, SideSpec("top", "on_top"))
+        return score_side_family(geom.points(target), anchor, SideSpec("top", "on_top"))
     if relation == "long_short_side":
-        return score_side_family(samples, anchor, SideSpec(side, "long_short"))
+        return score_side_family(geom.points(target), anchor, SideSpec(side, "long_short"))
     if relation == "middle_of":
         return score_middle_of(target.obb, anchor.obb)
     raise ValueError(f"unknown object-object relation '{relation}'")
@@ -449,12 +457,12 @@ def _oo_tuples(assignment: CategoryAssignment, mapping: dict, relation_text: str
             yield anchor_id, group
 
 
-def _weakest_member(anchor, group, relation, side, cache, pairs) -> RelationScore:
+def _weakest_member(anchor, group, relation, side, geom) -> RelationScore:
     """The lowest member score, or the first negative one; 0 when a member cannot be scored."""
     weakest = None
     for g in group:
         try:
-            score = _score_oo_pair(g, anchor, relation, side, cache.points(g), pairs)
+            score = _score_oo_pair(g, anchor, relation, side, geom)
         except ValueError:  # e.g. frontless target in a face relation
             return RelationScore(0.0)
         if not score.positive:
@@ -465,15 +473,9 @@ def _weakest_member(anchor, group, relation, side, cache, pairs) -> RelationScor
 
 
 def eval_oo(
-    scene: SceneInstance,
-    assignment: CategoryAssignment,
-    oo_specs,
-    judge: Judge,
-    config: EvalConfig,
-    pairs: PairCache | None = None,
+    geom: SceneGeometry, assignment: CategoryAssignment, oo_specs, judge: Judge
 ) -> list[SpecResult]:
-    pairs = pairs or PairCache()
-    cache = _SampleCache(config)
+    scene = geom.scene
     results = []
     for spec in oo_specs:
         line = serialize_spec(spec)
@@ -504,7 +506,7 @@ def eval_oo(
                     else:
                         score, _ = score_surround(anchor.obb, [g.obb for g in group])
                 else:
-                    score = _weakest_member(anchor, group, relation, side, cache, pairs)
+                    score = _weakest_member(anchor, group, relation, side, geom)
                 scores.append(score)
                 if not score.positive:
                     break
@@ -539,15 +541,9 @@ def _qualifying_rooms(scene: SceneInstance, spec: OARelationSpec, specific_floor
 
 
 def eval_oa(
-    scene: SceneInstance,
-    assignment: CategoryAssignment,
-    oa_specs,
-    judge: Judge,
-    config: EvalConfig,
-    pairs: PairCache | None = None,
+    geom: SceneGeometry, assignment: CategoryAssignment, oa_specs, judge: Judge
 ) -> list[SpecResult]:
-    pairs = pairs or PairCache()
-    cache = _SampleCache(config)
+    scene = geom.scene
     floor_ids = [f.id for f in scene.floors]
     results = []
     for spec in oa_specs:
@@ -593,21 +589,13 @@ def eval_oa(
             obj = scene.object_by_id(obj_id)
             try:
                 if relation in ROOM_RELATIONS:
-                    return [
-                        score_room_relation(
-                            obj, element, relation, scene, cache.points(obj), pairs
-                        )
-                    ]
-                if relation in WALL_RELATIONS:
-                    return [
-                        score_wall_relation(obj, element, relation, cache.points(obj), pairs)
-                    ]
-                if relation == "hang_ceiling":
-                    return [score_wall_relation(obj, element, relation, pairs=pairs)]
+                    return [score_room_relation(obj, element, relation, geom)]
+                if relation in WALL_RELATIONS or relation == "hang_ceiling":
+                    return [score_wall_relation(obj, element, relation, geom)]
                 if hasattr(element, "floor_ids"):  # distance to a room: nearest floor
-                    d = min(pairs.distance(obj, f) for f in scene.room_floors(element))
+                    d = min(geom.distance(obj, f) for f in scene.room_floors(element))
                     return [score_distance_band(d, DISTANCE_BANDS[relation])]
-                return [score_object_distance(obj, element, relation, pairs)]
+                return [score_object_distance(obj, element, relation, geom)]
             except ValueError as exc:
                 logger.warning("spec '%s': %s", line, exc)
                 return [RelationScore(0.0)]
@@ -630,15 +618,14 @@ def eval_oa(
 # ---------------------------------------------------------------------------
 
 
-def eval_collision(scene: SceneInstance, pairs: PairCache | None = None):
+def eval_collision(geom: SceneGeometry):
     """All-pairs mesh collision: (% objects in collision, any-collision, pairs)."""
-    pairs = pairs or PairCache()
     colliding_pairs = []
     in_collision = set()
-    objs = scene.objects
+    objs = geom.scene.objects
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
-            if pairs.intersects(objs[i], objs[j]):
+            if geom.intersects(objs[i], objs[j]):
                 colliding_pairs.append((objs[i].id, objs[j].id))
                 in_collision.add(objs[i].id)
                 in_collision.add(objs[j].id)
@@ -898,7 +885,7 @@ def evaluate_scene(
     """
     config = config or EvalConfig()
     scene_judge = _SceneJudge(judge)
-    pairs = PairCache()
+    geom = SceneGeometry(scene, config)
     report = SceneReport(
         scene_id=scene.manifest_path.parent.name if scene.manifest_path else entry.id,
         entry_id=entry.id,
@@ -921,14 +908,8 @@ def evaluate_scene(
         for name, runner in (
             ("cnt", lambda: eval_count(assignment, entry.counts)),
             ("atr", lambda: eval_attribute(scene, assignment, entry.attributes, scene_judge)),
-            (
-                "oor",
-                lambda: eval_oo(scene, assignment, entry.oo_relations, scene_judge, config, pairs),
-            ),
-            (
-                "oar",
-                lambda: eval_oa(scene, assignment, entry.oa_relations, scene_judge, config, pairs),
-            ),
+            ("oor", lambda: eval_oo(geom, assignment, entry.oo_relations, scene_judge)),
+            ("oar", lambda: eval_oa(geom, assignment, entry.oa_relations, scene_judge)),
         ):
             try:
                 setattr(report, name, runner())
@@ -936,7 +917,7 @@ def evaluate_scene(
                 report.errors[name] = str(exc)
 
     try:
-        report.col_ob, report.col_sc, report.colliding_pairs = eval_collision(scene, pairs)
+        report.col_ob, report.col_sc, report.colliding_pairs = eval_collision(geom)
     except ValueError as exc:
         report.errors["col"] = str(exc)
     try:

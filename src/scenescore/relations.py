@@ -17,12 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .annotations import check_quantifier
-from .geometry import (
-    closest_surface_distance,
-    ray_hit_fraction,
-    ray_mesh_distances,
-    surface_distance_bracket,
-)
+from .geometry import ray_hit_fraction, ray_mesh_distances
 from .scene import ArchElement, ObjectInstance, RoomRegion, world_front_vector
 
 logger = logging.getLogger(__name__)
@@ -163,36 +158,18 @@ def score_distance_band(d: float, band: DistanceBand) -> RelationScore:
     return RelationScore(band.score(d))
 
 
-def element_mesh(element):
-    """The world mesh of an object or an architecture element."""
-    return element.mesh if isinstance(element, ArchElement) else element.world_mesh
-
-
-def _exact_distance(a, b, pairs) -> float:
-    if pairs is not None:
-        return pairs.distance(a, b)
-    return closest_surface_distance(element_mesh(a), element_mesh(b))
-
-
-def score_object_distance(
-    target: ObjectInstance, anchor, relation: str, pairs=None
-) -> RelationScore:
+def score_object_distance(target: ObjectInstance, anchor, relation: str, geom) -> RelationScore:
     """next_to/near/across/far from the closest surface distance.
 
     The distance search stops as soon as its bracket decides the band
     (`DistanceBand.decide`).  The value is the band's score at the exact
     distance when the search had to be exact.  Otherwise it is the band's
     score at the bracket end nearer the band, which is on the same side of
-    POSITIVITY_THRESHOLD as the score at the exact distance.  `pairs`, a
-    scene's `metrics.PairCache`, shares the search's results between calls.
+    POSITIVITY_THRESHOLD as the score at the exact distance.  `geom`, the
+    scene's `metrics.SceneGeometry`, shares the search's results between calls.
     """
     band = DISTANCE_BANDS[relation]
-    if pairs is not None:
-        lo, hi = pairs.bracket(target, anchor, band)
-    else:
-        lo, hi = surface_distance_bracket(
-            element_mesh(target), element_mesh(anchor), settled=band.settles
-        )
+    lo, hi = geom.bracket(target, anchor, band)
     return RelationScore(max(band.score(lo), band.score(hi)))
 
 
@@ -390,19 +367,11 @@ def score_surround(anchor_obb, target_obbs) -> tuple[RelationScore, SurroundEval
 # ---------------------------------------------------------------------------
 
 
-def score_room_relation(
-    obj: ObjectInstance,
-    room: RoomRegion,
-    kind: str,
-    scene,
-    samples: np.ndarray | None = None,
-    pairs=None,
-) -> RelationScore:
+def score_room_relation(obj: ObjectInstance, room: RoomRegion, kind: str, geom) -> RelationScore:
+    """inside_room / middle_room / corner_room; `geom` is the scene's `metrics.SceneGeometry`."""
     if kind == "inside_room":
-        if samples is None:
-            raise ValueError("inside_room needs target samples")
-        floor_tris = np.concatenate([f.mesh.triangles for f in scene.room_floors(room)])
-        frac = ray_hit_fraction(samples, np.array([0.0, 0.0, -1.0]), floor_tris)
+        floor_tris = np.concatenate([f.mesh.triangles for f in geom.scene.room_floors(room)])
+        frac = ray_hit_fraction(geom.points(obj), np.array([0.0, 0.0, -1.0]), floor_tris)
         return RelationScore(frac)
     if kind == "middle_room":
         o = obj.obb.footprint_sides()[0]
@@ -416,7 +385,7 @@ def score_room_relation(
         dist = float(np.linalg.norm(obj.obb.center[:2] - room.centroid_2d))
         return RelationScore(math.exp(-(dist**2) / (2.0 * sigma**2)))
     if kind == "corner_room":
-        walls = scene.room_walls(room)
+        walls = geom.scene.room_walls(room)
         if len(walls) < 2:
             raise ValueError(f"corner relation needs >= 2 walls in room '{room.id}'")
         best = 0.0
@@ -425,34 +394,29 @@ def score_room_relation(
                 wi, wj = walls[i], walls[j]
                 if abs(float(wi.front_normal @ wj.front_normal)) > CORNER_PERPENDICULAR_DOT:
                     continue
-                si = CORNER_WALL_BAND.score(_exact_distance(obj, wi, pairs))
-                sj = CORNER_WALL_BAND.score(_exact_distance(obj, wj, pairs))
+                si = CORNER_WALL_BAND.score(geom.distance(obj, wi))
+                sj = CORNER_WALL_BAND.score(geom.distance(obj, wj))
                 best = max(best, si * sj)
         return RelationScore(best)
     raise ValueError(f"unknown room relation '{kind}'")
 
 
 def score_wall_relation(
-    obj: ObjectInstance,
-    element: ArchElement,
-    kind: str,
-    samples: np.ndarray | None = None,
-    pairs=None,
+    obj: ObjectInstance, element: ArchElement, kind: str, geom
 ) -> RelationScore:
+    """on_wall / against_wall / hang_ceiling; `geom` is the scene's `metrics.SceneGeometry`."""
     if kind == "hang_ceiling":
         if element.kind != "ceiling":
             raise ValueError("hang_ceiling requires a ceiling element")
-        return RelationScore(HANG_CEILING_BAND.score(_exact_distance(obj, element, pairs)))
+        return RelationScore(HANG_CEILING_BAND.score(geom.distance(obj, element)))
     if kind in ("on_wall", "against_wall"):
         if element.kind != "wall":
             raise ValueError(f"{kind} requires a wall element")
-        if samples is None:
-            raise ValueError(f"{kind} needs target samples")
         anchor_point = element.mesh.vertices.mean(axis=0)
-        in_front = ((samples - anchor_point) @ element.front_normal) > 0.0
+        in_front = ((geom.points(obj) - anchor_point) @ element.front_normal) > 0.0
         s_f = float(in_front.mean())
         band = ON_WALL_BAND if kind == "on_wall" else AGAINST_WALL_BAND
-        s_d = band.score(_exact_distance(obj, element, pairs))
+        s_d = band.score(geom.distance(obj, element))
         return RelationScore(s_f * s_d)
     raise ValueError(f"unknown wall relation '{kind}'")
 

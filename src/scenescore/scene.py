@@ -113,8 +113,10 @@ class SceneInstance:
 
     def occupancy(self, resolution: float) -> SceneOccupancy:
         """The scene's floor-plan occupancy at `resolution` meters per cell."""
-        if resolution <= 0:
+        if not resolution > 0:  # NaN included
             raise ValueError("resolution must be > 0")
+        if not np.isfinite(resolution):
+            raise ValueError("resolution must be finite")
         if not self.floors:
             raise ValueError("at least one floor is required")
         return SceneOccupancy(

@@ -30,8 +30,9 @@ from scenescore.geometry import (
     tri_tri_strict_intersect,
     triangulate_polygon_2d,
 )
+from scenescore.metrics import EvalConfig, SceneGeometry
 from scenescore.relations import DISTANCE_BANDS, score_object_distance
-from scenescore.scene import object_from_mesh
+from scenescore.scene import SceneInstance, object_from_mesh
 
 
 def rot_z(deg):
@@ -219,21 +220,6 @@ class TestMeshIntersection:
             assert mesh_pair_intersects(box_to_mesh(a), box_to_mesh(b)) == (pen > 0)
         assert checked > 50
 
-    def test_broadphase_blocks_give_one_block_pairs(self, monkeypatch):
-        rng = np.random.default_rng(8)
-
-        def random_bounds(n):
-            lo = rng.uniform(0, 4, (n, 3))
-            return np.stack([lo, lo + rng.uniform(0, 1, (n, 3))], axis=1)
-
-        bounds_a, bounds_b = random_bounds(53), random_bounds(40)
-        ia, ib = geometry._aabb_overlapping_pairs(bounds_a, bounds_b)
-        assert 0 < len(ia) < 53 * 40
-        monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 100)  # blocks of 2 rows
-        ja, jb = geometry._aabb_overlapping_pairs(bounds_a, bounds_b)
-        np.testing.assert_array_equal(ia, ja)
-        np.testing.assert_array_equal(ib, jb)
-
     def test_tri_tri_touching_vertex(self):
         t1 = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
         t2 = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 1]]], dtype=float)
@@ -308,15 +294,17 @@ class TestClosestDistance:
         monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 20 * len(b))  # 106 blocks
         assert closest_surface_distance(a, b) == d
 
-    def test_gap_blocks_give_one_block_pairs(self, monkeypatch):
+    # limit 0 is COL's broadphase: boxes that overlap or touch
+    @pytest.mark.parametrize("limit", [0.0, 1.0])
+    def test_gap_blocks_give_one_block_pairs(self, monkeypatch, limit):
         rng = np.random.default_rng(8)
         lo_a, lo_b = rng.uniform(0, 4, (53, 3)), rng.uniform(0, 4, (40, 3))
         bounds_a = np.stack([lo_a, lo_a + rng.uniform(0, 1, (53, 3))], axis=1)
         bounds_b = np.stack([lo_b, lo_b + rng.uniform(0, 1, (40, 3))], axis=1)
-        whole = geometry._aabb_pair_gaps(bounds_a, bounds_b, 1.0)
+        whole = geometry._aabb_pair_gaps(bounds_a, bounds_b, limit)
         assert 0 < len(whole[0]) < 53 * 40
         monkeypatch.setattr(geometry, "AABB_PAIR_BLOCK", 100)  # blocks of 2 rows
-        for got, want in zip(geometry._aabb_pair_gaps(bounds_a, bounds_b, 1.0), whole):
+        for got, want in zip(geometry._aabb_pair_gaps(bounds_a, bounds_b, limit), whole):
             np.testing.assert_array_equal(got, want)
 
 
@@ -354,7 +342,8 @@ class TestDistanceDecision:
         target = object_from_mesh("t", mesh_a)
         anchor = object_from_mesh("a", mesh_b)
         exact = DISTANCE_BANDS[band_name].score(closest_surface_distance(mesh_a, mesh_b))
-        assert score_object_distance(target, anchor, band_name).positive == (exact >= 0.5)
+        geom = SceneGeometry(SceneInstance([target, anchor], [], []), EvalConfig())
+        assert score_object_distance(target, anchor, band_name, geom).positive == (exact >= 0.5)
 
     @pytest.mark.parametrize("band_name", sorted(DISTANCE_BANDS))
     def test_random_pairs(self, band_name):

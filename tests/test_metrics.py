@@ -23,6 +23,7 @@ from scenescore.judge import (
 from scenescore.metrics import (
     CategoryAssignment,
     EvalConfig,
+    SceneGeometry,
     classify_out_of_bounds,
     eval_accessibility,
     eval_attribute,
@@ -204,7 +205,7 @@ class TestOO:
         judge = MockJudge(
             [oo_map_row("left", "bed", ["nightstand"], [1], ["side_of"], ["left"])]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert r.passed and r.satisfied_count == 1
 
     def test_facing_away_fails(self):
@@ -215,7 +216,7 @@ class TestOO:
         a = CategoryAssignment({"desk": ["desk1"], "chair": ["chair1"]}, ())
         spec = parse_spec_line("oo", "eq,1,facing,0,desk,chair")
         judge = MockJudge([oo_map_row("facing", "desk", ["chair"], [1], ["face"], [None])])
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed
 
     def test_surround_ring_passes(self):
@@ -234,7 +235,7 @@ class TestOO:
         judge = MockJudge(
             [oo_map_row("surround", "table", ["chair"], [4], ["surround"], [None])]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert r.passed and r.satisfied_count == 1 and r.candidate_count == 1
 
     def test_over_satisfaction_fails_eq(self):
@@ -247,7 +248,7 @@ class TestOO:
         judge = MockJudge(
             [oo_map_row("left", "bed", ["nightstand"], [1], ["side_of"], ["left"])]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert r.satisfied_count == 2 and not r.passed
 
     def test_unmappable_fails_with_reason(self):
@@ -257,7 +258,7 @@ class TestOO:
         judge = MockJudge(
             [oo_map_row("diagonally", "bed", ["nightstand"], [1], None, None)]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed and "unmappable" in r.reason
 
     def test_unmatched_category_fails(self):
@@ -267,7 +268,7 @@ class TestOO:
         judge = MockJudge(
             [oo_map_row("left", "bed", ["nightstand"], [1], ["side_of"], ["left"])]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed and "no matched instances" in r.reason
 
     def test_conjunction_of_mapped_types(self):
@@ -283,7 +284,7 @@ class TestOO:
             [oo_map_row("at_the_foot_of", "bed", ["table"], [1],
                         ["side_of", "next_to"], ["front", None])]
         )
-        (r,) = eval_oo(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oo(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed  # side_of holds, next_to does not
 
 
@@ -297,7 +298,7 @@ class TestOA:
             [oa_map_row("against", "bookshelf", "wall", ["floor_room_0"],
                         "against_wall", "wall")]
         )
-        (r,) = eval_oa(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oa(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert r.passed and r.satisfied_count == 1
 
     def test_corner_spec_fails_at_center(self):
@@ -309,7 +310,7 @@ class TestOA:
             [oa_map_row("corner", "wardrobe", "room", ["floor_room_0"],
                         "corner_room", "room")]
         )
-        (r,) = eval_oa(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oa(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed
 
     def test_hang_lamp_at_floor_fails(self):
@@ -321,7 +322,7 @@ class TestOA:
             [oa_map_row("hang", "lamp", "ceiling", ["floor_room_0"],
                         "hang_ceiling", "ceiling")]
         )
-        (r,) = eval_oa(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oa(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed
 
     def test_no_ceiling_fails_with_reason(self):
@@ -333,7 +334,7 @@ class TestOA:
             [oa_map_row("hang", "lamp", "ceiling", ["floor_room_0"],
                         "hang_ceiling", "ceiling")]
         )
-        (r,) = eval_oa(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oa(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert not r.passed and "no ceiling elements" in r.reason
 
     def test_room_type_reference(self):
@@ -345,7 +346,7 @@ class TestOA:
             [oa_map_row("middle", "rug", "living room", ["floor_room_0"],
                         "middle_room", "room")]
         )
-        (r,) = eval_oa(scene, a, [spec], judge, CONFIG)
+        (r,) = eval_oa(SceneGeometry(scene, CONFIG), a, [spec], judge)
         assert r.passed  # "living room" matches room_type "living_room"
 
 
@@ -354,14 +355,14 @@ class TestCollision:
         a = make_box_object("a", [1, 1, 1], [3, 3, 0.5])
         b = make_box_object("b", [1, 1, 1], [3.5, 3, 0.5])
         scene = make_room_scene(objects=[a, b])
-        col_ob, col_sc, pairs = eval_collision(scene)
+        col_ob, col_sc, pairs = eval_collision(SceneGeometry(scene, CONFIG))
         assert col_ob == 100.0 and col_sc and pairs == [("a", "b")]
 
     def test_all_disjoint(self):
         a = make_box_object("a", [1, 1, 1], [1, 1, 0.5])
         b = make_box_object("b", [1, 1, 1], [4, 4, 0.5])
         scene = make_room_scene(objects=[a, b])
-        col_ob, col_sc, pairs = eval_collision(scene)
+        col_ob, col_sc, pairs = eval_collision(SceneGeometry(scene, CONFIG))
         assert col_ob == 0.0 and not col_sc and pairs == []
 
     def test_one_pair_of_three(self):
@@ -369,7 +370,7 @@ class TestCollision:
         b = make_box_object("b", [1, 1, 1], [1.5, 1, 0.5])
         c = make_box_object("c", [1, 1, 1], [4.5, 4.5, 0.5])
         scene = make_room_scene(objects=[a, b, c])
-        col_ob, col_sc, _ = eval_collision(scene)
+        col_ob, col_sc, _ = eval_collision(SceneGeometry(scene, CONFIG))
         assert col_ob == pytest.approx(100 * 2 / 3)
         assert col_sc == (col_ob > 0)
 
@@ -377,7 +378,7 @@ class TestCollision:
         table = make_box_object("t", [1, 1, 0.7], [3, 3, 0.35])
         book = make_box_object("bk", [0.2, 0.3, 0.05], [3, 3, 0.7 + 0.025])
         scene = make_room_scene(objects=[table, book])
-        col_ob, col_sc, _ = eval_collision(scene)
+        col_ob, col_sc, _ = eval_collision(SceneGeometry(scene, CONFIG))
         assert col_ob == 0.0 and not col_sc
 
 
@@ -646,7 +647,7 @@ class TestEvaluateScene:
         assert report.nav == 1.0
         assert report.sup is None and report.acc is None and report.oob is None
 
-    @pytest.mark.parametrize("resolution", [0.0, -0.05])
+    @pytest.mark.parametrize("resolution", [0.0, -0.05, float("nan")])
     def test_non_positive_resolution_recorded(self, resolution):
         scene, entry, judge = full_fixture()
         # without functional-sides rows, an ACC judge call would be the error
@@ -659,6 +660,22 @@ class TestEvaluateScene:
         }
         assert report.nav is None and report.acc is None
         assert report.cnt_percent == 100.0 and report.oob == 0.0
+
+    def test_infinite_resolution_recorded(self):
+        scene, entry, judge = full_fixture()
+        judge.table = {k: v for k, v in judge.table.items() if k[0] != "functional_sides"}
+        config = EvalConfig(samples=CONFIG.samples, seed=CONFIG.seed, resolution=float("inf"))
+        report = evaluate_scene(scene, entry, judge, config)
+        assert report.errors == {
+            "nav": "resolution must be finite",
+            "acc": "resolution must be finite",
+        }
+
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, True, "1000"])
+    def test_invalid_samples_rejected(self, samples):
+        # an invalid count would score every sampled relation 0 with no error
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            EvalConfig(samples=samples)
 
     def test_oversized_grid_recorded(self):
         scene, entry, judge = full_fixture()
@@ -1087,11 +1104,11 @@ class TestPairCache:
         other = make_box_object("x", [0.4, 0.4, 0.4], [3.3, 3.0, 0.2])  # overlaps twin
         scene = make_room_scene(objects=[twin, other])
         wall = scene.arch_by_id("wall_s")
-        pairs = metrics.PairCache()
-        assert pairs.intersects(other, twin) and not pairs.intersects(other, wall)
-        assert pairs.distance(other, twin) == 0.0
-        assert pairs.distance(other, wall) == pytest.approx(2.8)
-        assert pairs.intersects(twin, other) and pairs.distance(wall, other) == pytest.approx(2.8)
+        geom = SceneGeometry(scene, CONFIG)
+        assert geom.intersects(other, twin) and not geom.intersects(other, wall)
+        assert geom.distance(other, twin) == 0.0
+        assert geom.distance(other, wall) == pytest.approx(2.8)
+        assert geom.intersects(twin, other) and geom.distance(wall, other) == pytest.approx(2.8)
 
     def test_evaluations_share_no_state(self, monkeypatch):
         scene, entry, judge = distance_fixture()
@@ -1121,3 +1138,40 @@ class TestPairCache:
         scene, entry, judge = fixture()
         report = evaluate_scene(scene, entry, judge, CONFIG).to_dict()
         assert json.loads(json.dumps(report)) == expected
+
+
+def count_box_samples(monkeypatch, scene):
+    """Count sample_points_obb calls per object id."""
+    ids = {id(o.obb): o.id for o in scene.objects}
+    counts = Counter()
+    original = metrics.sample_points_obb
+
+    def counting(box, count, seed):
+        counts[ids[id(box)]] += 1
+        return original(box, count, seed)
+
+    monkeypatch.setattr(metrics, "sample_points_obb", counting)
+    return counts
+
+
+class TestSceneSamples:
+    def test_object_sampled_once_for_both_fidelity_metrics(self, monkeypatch):
+        scene, entry, judge = full_fixture()
+        # ns1 is the target of the side_of spec and of this inside_room spec
+        spec = parse_spec_line("oa", "eq,1,inside,nightstand,room")
+        entry = dataclasses.replace(entry, oa_relations=(*entry.oa_relations, spec))
+        judge.table.update(MockJudge([
+            oa_map_row("inside", "nightstand", "room", ["floor_room_0"], "inside_room", "room")
+        ]).table)
+        counts = count_box_samples(monkeypatch, scene)
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert report.errors == {} and report.oor_percent == report.oar_percent == 100.0
+        assert counts == {"ns1": 1, "bed1": 1}
+
+    def test_distance_only_objects_never_sampled(self, monkeypatch):
+        scene, entry, judge = distance_fixture()
+        counts = count_box_samples(monkeypatch, scene)
+        report = evaluate_scene(scene, entry, judge, CONFIG)
+        assert report.errors == {}
+        # the stools and the table appear only in distance relations
+        assert counts == {"b1": 1}

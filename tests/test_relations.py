@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_box_object, make_room_scene, rot_z
 from scenescore.geometry import OrientedBox, TriMesh, sample_points_obb
+from scenescore.metrics import EvalConfig, SceneGeometry
 from scenescore.relations import (
     AGAINST_WALL_BAND,
     DISTANCE_BANDS,
@@ -27,7 +28,7 @@ from scenescore.relations import (
     OO_RELATIONS,
     OA_RELATIONS,
 )
-from scenescore.scene import object_from_mesh
+from scenescore.scene import SceneInstance, object_from_mesh
 
 SEED = 1234
 N_SAMPLES = 1000
@@ -35,6 +36,13 @@ N_SAMPLES = 1000
 
 def samples_of(obj, n=N_SAMPLES, seed=SEED):
     return sample_points_obb(obj.obb, n, seed)
+
+
+def geometry_of(scene=None, objects=()):
+    """A fresh SceneGeometry for `scene`, or for a scene of just `objects`."""
+    if scene is None:
+        scene = SceneInstance(objects, [], [])
+    return SceneGeometry(scene, EvalConfig(samples=N_SAMPLES, seed=SEED))
 
 
 class TestDistanceBand:
@@ -343,25 +351,26 @@ class TestDistanceRelations:
     def test_next_to_pair(self):
         a = make_box_object("a", [1, 1, 1], [0, 0, 0.5])
         b = make_box_object("b", [1, 1, 1], [1.15, 0, 0.5])  # gap 0.15
-        assert score_object_distance(b, a, "next_to").positive
+        assert score_object_distance(b, a, "next_to", geometry_of(objects=[a, b])).positive
         # near band edge is 0.35 m away: exp(-0.98) < 0.5
-        assert not score_object_distance(b, a, "near").positive
+        assert not score_object_distance(b, a, "near", geometry_of(objects=[a, b])).positive
 
     def test_near_across_far(self):
         a = make_box_object("a", [1, 1, 1], [0, 0, 0.5])
         for gap, rel in ((1.0, "near"), (2.5, "across"), (5.0, "far")):
             b = make_box_object("b", [1, 1, 1], [1.0 + gap, 0, 0.5])
-            assert score_object_distance(b, a, rel).positive
+            geom = geometry_of(objects=[a, b])
+            assert score_object_distance(b, a, rel, geom).positive
             others = {"near", "across", "far"} - {rel}
             for other in others:
-                assert not score_object_distance(b, a, other).positive
+                assert not score_object_distance(b, a, other, geom).positive
 
 
 class TestRoomRelations:
     def test_inside_room(self):
         scene = make_room_scene()
         obj = make_box_object("o", [1, 1, 1], [3, 3, 0.5])
-        s = score_room_relation(obj, scene.rooms[0], "inside_room", scene, samples_of(obj))
+        s = score_room_relation(obj, scene.rooms[0], "inside_room", geometry_of(scene))
         assert s.value == 1.0
 
     def test_flat_rug_on_floor_inside(self):
@@ -372,25 +381,25 @@ class TestRoomRelations:
         )
         scene = make_room_scene()
         rug = object_from_mesh("rug", quad, translation=[3, 3, 0])
-        s = score_room_relation(rug, scene.rooms[0], "inside_room", scene, samples_of(rug))
+        s = score_room_relation(rug, scene.rooms[0], "inside_room", geometry_of(scene))
         assert s.value == 1.0
 
     def test_outside_room_fails_inside(self):
         scene = make_room_scene()
         obj = make_box_object("o", [1, 1, 1], [10, 10, 0.5])
-        s = score_room_relation(obj, scene.rooms[0], "inside_room", scene, samples_of(obj))
+        s = score_room_relation(obj, scene.rooms[0], "inside_room", geometry_of(scene))
         assert s.value == 0.0
 
     def test_middle_room_at_centroid(self):
         scene = make_room_scene()
         obj = make_box_object("o", [1, 1, 0.2], [3, 3, 0.1])
-        s = score_room_relation(obj, scene.rooms[0], "middle_room", scene)
+        s = score_room_relation(obj, scene.rooms[0], "middle_room", geometry_of(scene))
         assert s.value == 1.0
 
     def test_middle_room_off_center(self):
         scene = make_room_scene()
         obj = make_box_object("o", [1, 1, 0.2], [1.0, 1.0, 0.1])
-        s = score_room_relation(obj, scene.rooms[0], "middle_room", scene)
+        s = score_room_relation(obj, scene.rooms[0], "middle_room", geometry_of(scene))
         # sigma = 1/2 + (1 - 1/6); dist = sqrt(8)
         sigma = 0.5 + (1 - 1 / 6)
         assert s.value == pytest.approx(math.exp(-8.0 / (2 * sigma**2)), abs=1e-9)
@@ -398,13 +407,13 @@ class TestRoomRelations:
     def test_corner_room(self):
         scene = make_room_scene()
         plant = make_box_object("plant", [0.4, 0.4, 1.0], [0.4, 0.4, 0.5])
-        s = score_room_relation(plant, scene.rooms[0], "corner_room", scene)
+        s = score_room_relation(plant, scene.rooms[0], "corner_room", geometry_of(scene))
         assert s.value == 1.0  # 0.2 m from both walls, inside the 0.8 band
 
     def test_center_not_corner(self):
         scene = make_room_scene()
         wardrobe = make_box_object("w", [1.0, 0.6, 2.0], [3, 3, 1.0])
-        s = score_room_relation(wardrobe, scene.rooms[0], "corner_room", scene)
+        s = score_room_relation(wardrobe, scene.rooms[0], "corner_room", geometry_of(scene))
         assert not s.positive
 
     def test_corner_requires_walls(self):
@@ -418,7 +427,7 @@ class TestRoomRelations:
         ])
         obj = make_box_object("o", [1, 1, 1], [3, 3, 0.5])
         with pytest.raises(ValueError, match="walls"):
-            score_room_relation(obj, bare.rooms[0], "corner_room", bare)
+            score_room_relation(obj, bare.rooms[0], "corner_room", geometry_of(bare))
 
 
 class TestWallRelations:
@@ -426,14 +435,14 @@ class TestWallRelations:
         scene = make_room_scene()
         wall = scene.arch_by_id("wall_s")  # y = 0 plane, front +y
         painting = make_box_object("p", [0.8, 0.01, 0.6], [3, 0.005 + 0.005, 1.5])
-        s = score_wall_relation(painting, wall, "on_wall", samples_of(painting))
+        s = score_wall_relation(painting, wall, "on_wall", geometry_of(scene))
         assert s.value == pytest.approx(1.0, abs=1e-9)
 
     def test_bookshelf_against_wall(self):
         scene = make_room_scene()
         wall = scene.arch_by_id("wall_s")
         shelf = make_box_object("s", [1.2, 0.4, 2.0], [3, 0.2 + 0.1, 1.0])  # 0.1 m gap
-        s = score_wall_relation(shelf, wall, "against_wall", samples_of(shelf))
+        s = score_wall_relation(shelf, wall, "against_wall", geometry_of(scene))
         assert s.value == 1.0
         assert AGAINST_WALL_BAND.score(0.1) == 1.0
 
@@ -441,28 +450,28 @@ class TestWallRelations:
         scene = make_room_scene()
         wall = scene.arch_by_id("wall_s")
         shelf = make_box_object("s", [1.2, 0.4, 2.0], [3, 3, 1.0])
-        s = score_wall_relation(shelf, wall, "against_wall", samples_of(shelf))
+        s = score_wall_relation(shelf, wall, "against_wall", geometry_of(scene))
         assert not s.positive
 
     def test_behind_wall_zero_front_fraction(self):
         scene = make_room_scene()
         wall = scene.arch_by_id("wall_s")
         shelf = make_box_object("s", [1.2, 0.4, 2.0], [3, -0.5, 1.0])  # outside room
-        s = score_wall_relation(shelf, wall, "against_wall", samples_of(shelf))
+        s = score_wall_relation(shelf, wall, "against_wall", geometry_of(scene))
         assert s.value == 0.0
 
     def test_hang_ceiling(self):
         scene = make_room_scene(ceiling=True)
         ceiling = scene.ceilings[0]
         lamp = make_box_object("lamp", [0.3, 0.3, 0.4], [3, 3, 2.5 - 0.2 - 0.005])
-        s = score_wall_relation(lamp, ceiling, "hang_ceiling")
+        s = score_wall_relation(lamp, ceiling, "hang_ceiling", geometry_of(scene))
         assert s.value == 1.0
 
     def test_lamp_on_floor_fails_hang(self):
         scene = make_room_scene(ceiling=True)
         ceiling = scene.ceilings[0]
         lamp = make_box_object("lamp", [0.3, 0.3, 0.4], [3, 3, 0.2])
-        s = score_wall_relation(lamp, ceiling, "hang_ceiling")
+        s = score_wall_relation(lamp, ceiling, "hang_ceiling", geometry_of(scene))
         assert s.value < 1e-6
 
 
@@ -503,7 +512,9 @@ class TestScoreRangeProperty:
             target = make_box_object("t", [0.6, 0.4, 0.5], [*pos, 0.25], yaw=yaw)
             pts = samples_of(target, 200, seed=i)
             checks = [
-                score_object_distance(target, anchor, "next_to"),
+                score_object_distance(
+                    target, anchor, "next_to", geometry_of(objects=[target, anchor])
+                ),
                 score_containment(target.obb, anchor.obb, "inside", pts),
                 score_containment(target.obb, anchor.obb, "outside", pts),
                 score_side_family(pts, anchor, SideSpec("left")),
