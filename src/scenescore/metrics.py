@@ -111,6 +111,16 @@ class SpecResult:
         }
 
 
+def _quantified(spec, satisfied: int, candidates: int) -> SpecResult:
+    """The result of a quantified spec that `satisfied` of its `candidates` meet."""
+    return SpecResult(
+        serialize_spec(spec),
+        check_quantifier(spec.quantifier, spec.quantity, satisfied),
+        satisfied_count=satisfied,
+        candidate_count=candidates,
+    )
+
+
 def percent_passed(results) -> float | None:
     if not results:
         return None
@@ -360,14 +370,7 @@ def eval_count(assignment: CategoryAssignment, count_specs) -> list[SpecResult]:
     results = []
     for spec in count_specs:
         actual = len(assignment.instances(spec.category))
-        results.append(
-            SpecResult(
-                spec=serialize_spec(spec),
-                passed=check_quantifier(spec.quantifier, spec.quantity, actual),
-                satisfied_count=actual,
-                candidate_count=actual,
-            )
-        )
+        results.append(_quantified(spec, actual, actual))
     return results
 
 
@@ -381,23 +384,15 @@ def eval_attribute(
     """
     results = []
     for spec in attr_specs:
-        line = serialize_spec(spec)
         instance_ids = assignment.instances(spec.category)
         if not instance_ids:
-            results.append(SpecResult(line, False, reason="no matched instances"))
+            results.append(SpecResult(serialize_spec(spec), False, reason="no matched instances"))
             continue
         satisfied = 0
         for obj_id in instance_ids:
             response = judge.judge(_verify_attribute_request(scene.object_by_id(obj_id), spec))
             satisfied += bool(response["satisfied"])
-        results.append(
-            SpecResult(
-                line,
-                check_quantifier(spec.quantifier, spec.quantity, satisfied),
-                satisfied_count=satisfied,
-                candidate_count=len(instance_ids),
-            )
-        )
+        results.append(_quantified(spec, satisfied, len(instance_ids)))
     return results
 
 
@@ -427,6 +422,19 @@ def _score_oo_pair(
     raise ValueError(f"unknown object-object relation '{relation}'")
 
 
+def _combination_product(pools):
+    """The flattened members of each element of `itertools.product` over the
+    pools' `itertools.combinations(ids, count)`, in the same order, built one
+    at a time."""
+    if not pools:
+        yield ()
+        return
+    (ids, count), rest = pools[0], pools[1:]
+    for combo in itertools.combinations(ids, count):
+        for tail in _combination_product(rest):
+            yield combo + tail
+
+
 def _oo_tuples(assignment: CategoryAssignment, mapping: dict, relation_text: str):
     """All combinations of matched instances for the mapping's categories.
 
@@ -434,16 +442,16 @@ def _oo_tuples(assignment: CategoryAssignment, mapping: dict, relation_text: str
     mapping's other categories, up to SURROUND_TUPLE_CAP tuples.
     """
     anchors = assignment.instances(mapping["anchor_category"])
-    per_category = []
+    pools = []
     for cat, count in zip(mapping["other_categories"], mapping["other_counts"]):
         ids = assignment.instances(cat)
         if len(ids) < count:
             return  # not enough instances: no candidate tuples
-        per_category.append(list(itertools.combinations(ids, count)))
+        pools.append((ids, count))
     produced = 0
     for anchor_id in anchors:
-        for chosen in itertools.product(*per_category):
-            group = [i for combo in chosen for i in combo if i != anchor_id]
+        for members in _combination_product(pools):
+            group = [i for i in members if i != anchor_id]
             if not group:
                 continue
             if produced >= SURROUND_TUPLE_CAP:
@@ -504,7 +512,7 @@ def eval_oo(
                     if len(group) < 2:
                         score = RelationScore(0.0)
                     else:
-                        score, _ = score_surround(anchor.obb, [g.obb for g in group])
+                        score = score_surround(anchor.obb, [g.obb for g in group])
                 else:
                     score = _weakest_member(anchor, group, relation, side, geom)
                 scores.append(score)
@@ -512,20 +520,8 @@ def eval_oo(
                     break
             return scores
 
-        sat = count_satisfied(
-            spec.quantifier,
-            spec.quantity,
-            _oo_tuples(assignment, mapping, spec.relation_text),
-            scorer,
-        )
-        results.append(
-            SpecResult(
-                line,
-                sat.passed,
-                satisfied_count=sat.satisfied_count,
-                candidate_count=sat.candidate_count,
-            )
-        )
+        tuples = _oo_tuples(assignment, mapping, spec.relation_text)
+        results.append(_quantified(spec, *count_satisfied(tuples, scorer)))
     return results
 
 
@@ -600,16 +596,8 @@ def eval_oa(
                 logger.warning("spec '%s': %s", line, exc)
                 return [RelationScore(0.0)]
 
-        candidates = [(i, e) for i in instance_ids for e in elements]
-        sat = count_satisfied(spec.quantifier, spec.quantity, candidates, scorer)
-        results.append(
-            SpecResult(
-                line,
-                sat.passed,
-                satisfied_count=sat.satisfied_count,
-                candidate_count=sat.candidate_count,
-            )
-        )
+        candidates = ((i, e) for i in instance_ids for e in elements)
+        results.append(_quantified(spec, *count_satisfied(candidates, scorer)))
     return results
 
 
@@ -670,12 +658,10 @@ def support_contacts(
 
 
 def eval_support(scene: SceneInstance, judge: Judge):
-    """Per-object stable support: (% supported or None, verdicts, support types)."""
+    """Per-object stable support: (% supported or None, verdicts)."""
     verdicts = {}
-    types = {}
     for obj in scene.objects:
         support_type = judge.judge(_support_type_request(obj))["support_type"]
-        types[obj.id] = support_type
         direction = support_direction(obj, support_type)
         contacts = support_contacts(scene, obj, direction)
         if support_type in ("wall", "ceiling"):
@@ -683,7 +669,7 @@ def eval_support(scene: SceneInstance, judge: Judge):
         else:
             verdicts[obj.id] = support_hull_check(contacts[:, :2], obj.obb.center[:2])
     percent = 100.0 * sum(verdicts.values()) / len(verdicts) if verdicts else None
-    return percent, verdicts, types
+    return percent, verdicts
 
 
 def eval_navigability(occupancy: SceneOccupancy):
@@ -740,10 +726,8 @@ def eval_accessibility(scene: SceneInstance, occupancy: SceneOccupancy, judge: J
     """Best free-side fraction per object; objects with no functional sides
     are excluded from the mean."""
     scores = {}
-    sides_by_object = {}
     for obj in scene.objects:
         sides = judge.judge(_functional_sides_request(obj))["sides"]
-        sides_by_object[obj.id] = sides
         if not sides:
             scores[obj.id] = None
             continue
@@ -752,7 +736,7 @@ def eval_accessibility(scene: SceneInstance, occupancy: SceneOccupancy, judge: J
         )
     scored = [v for v in scores.values() if v is not None]
     mean = sum(scored) / len(scored) if scored else None
-    return scores, mean, sides_by_object
+    return scores, mean
 
 
 def classify_out_of_bounds(hit_fraction: float) -> bool:
@@ -921,7 +905,7 @@ def evaluate_scene(
     except ValueError as exc:
         report.errors["col"] = str(exc)
     try:
-        report.sup, report.sup_verdicts, _ = eval_support(scene, scene_judge)
+        report.sup, report.sup_verdicts = eval_support(scene, scene_judge)
     except (JudgeError, ValueError) as exc:
         report.errors["sup"] = str(exc)
     try:
@@ -931,7 +915,7 @@ def evaluate_scene(
     else:
         report.nav, report.nav_detail = eval_navigability(occupancy)
         try:
-            report.acc_scores, report.acc, _ = eval_accessibility(scene, occupancy, scene_judge)
+            report.acc_scores, report.acc = eval_accessibility(scene, occupancy, scene_judge)
         except (JudgeError, ValueError) as exc:
             report.errors["acc"] = str(exc)
     try:

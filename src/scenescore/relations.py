@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import check_quantifier
 from .geometry import ray_hit_fraction, ray_mesh_distances
 from .scene import ArchElement, ObjectInstance, RoomRegion, world_front_vector
 
@@ -132,26 +131,6 @@ CORNER_WALL_BAND = DistanceBand(0.0, 0.8, 0.25)
 ON_WALL_BAND = DistanceBand(0.0, 0.01, 0.01)
 AGAINST_WALL_BAND = DistanceBand(0.0, 0.3, 0.1)
 HANG_CEILING_BAND = DistanceBand(0.0, 0.01, 0.03)
-
-# Machine-readable constants table, built from the scorers' constants above;
-# documentation tests assert against it.
-RELATION_CONSTANTS = {
-    "threshold": POSITIVITY_THRESHOLD,
-    "side_of_extension": SIDE_OF_EXTENSION,
-    "face_max_angle_deg": FACE_MAX_ANGLE_DEG,
-    "middle_of_sigma": MIDDLE_OF_SIGMA,
-    "corner_perpendicular_dot": CORNER_PERPENDICULAR_DOT,
-    "bands": {
-        name: asdict(band)
-        for name, band in {
-            **DISTANCE_BANDS,
-            "corner_room": CORNER_WALL_BAND,
-            "on_wall": ON_WALL_BAND,
-            "against_wall": AGAINST_WALL_BAND,
-            "hang_ceiling": HANG_CEILING_BAND,
-        }.items()
-    },
-}
 
 
 def score_distance_band(d: float, band: DistanceBand) -> RelationScore:
@@ -316,17 +295,7 @@ def score_middle_of(target_obb, anchor_obb) -> RelationScore:
     return RelationScore(math.exp(-(dist**2) / (2.0 * MIDDLE_OF_SIGMA**2)))
 
 
-@dataclass(frozen=True)
-class SurroundEvaluation:
-    count: int
-    ideal_angle: float          # radians between neighbours for a uniform ring
-    mean_distance: float
-    distance_deviations: tuple  # per object, normalized by mean distance, clipped
-    angle_deviations: tuple     # per angular gap, normalized by ideal angle, clipped
-    score: float
-
-
-def score_surround(anchor_obb, target_obbs) -> tuple[RelationScore, SurroundEvaluation]:
+def score_surround(anchor_obb, target_obbs) -> RelationScore:
     """Surround score: how uniformly the targets ring the anchor.
 
     Distance deviations measure each target's centroid distance against the
@@ -351,15 +320,7 @@ def score_surround(anchor_obb, target_obbs) -> tuple[RelationScore, SurroundEval
     gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * math.pi]]))
     a_dev = np.clip(np.abs(gaps - ideal) / ideal, 0.0, 1.0)
     s = float((((1.0 - d_dev) ** 2) + ((1.0 - a_dev) ** 2)).sum() / (2.0 * n))
-    ev = SurroundEvaluation(
-        count=n,
-        ideal_angle=ideal,
-        mean_distance=mean_d,
-        distance_deviations=tuple(float(v) for v in d_dev),
-        angle_deviations=tuple(float(v) for v in a_dev),
-        score=s,
-    )
-    return RelationScore(min(max(s, 0.0), 1.0)), ev
+    return RelationScore(min(max(s, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +387,16 @@ def score_wall_relation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SatisfactionResult:
-    satisfied_count: int
-    passed: bool
-    candidate_count: int
-
-
-def count_satisfied(quantifier: str, quantity: int, candidate_tuples, scorer) -> SatisfactionResult:
-    """Count tuples whose every relation score is positive, then apply the quantifier.
+def count_satisfied(candidate_tuples, scorer) -> tuple[int, int]:
+    """(satisfied, candidates): how many tuples have every relation score
+    positive, out of how many were offered.
 
     `scorer(tuple)` returns the RelationScore list for one candidate tuple;
-    a tuple satisfies the spec only when all of them are positive.
+    a tuple with no scores is not satisfied.
     """
-    candidates = list(candidate_tuples)
-    satisfied = 0
-    for tup in candidates:
+    satisfied = candidates = 0
+    for tup in candidate_tuples:
+        candidates += 1
         scores = scorer(tup)
-        if scores and all(s.positive for s in scores):
-            satisfied += 1
-    return SatisfactionResult(
-        satisfied_count=satisfied,
-        passed=check_quantifier(quantifier, quantity, satisfied),
-        candidate_count=len(candidates),
-    )
+        satisfied += bool(scores) and all(s.positive for s in scores)
+    return satisfied, candidates

@@ -50,7 +50,6 @@ class ObjectInstance:
     world_mesh: TriMesh
     front_axis: np.ndarray | None  # unit vector, local frame; None when frontless
     image_refs: dict = field(default_factory=dict)
-    mesh_path: str = ""
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,6 @@ class ArchElement:
     kind: str
     mesh: TriMesh               # world frame
     front_normal: np.ndarray | None = None  # walls only; points into the room
-    polygon: np.ndarray | None = None       # as given in the manifest, if inline
-    mesh_path: str = ""
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ def object_from_mesh(
     frontless: bool = False,
     description: str | None = None,
     image_refs: dict | None = None,
-    mesh_path: str = "",
 ) -> ObjectInstance:
     """Build an ObjectInstance from an in-memory local mesh and a rigid placement.
 
@@ -187,13 +183,10 @@ def object_from_mesh(
         world_mesh=mesh.transformed(rotation, translation),
         front_axis=front,
         image_refs=dict(image_refs or {}),
-        mesh_path=mesh_path,
     )
 
 
-def _checked_arch(
-    arch_id: str, kind: str, mesh: TriMesh, front_normal, polygon=None, mesh_path=""
-) -> ArchElement:
+def _checked_arch(arch_id: str, kind: str, mesh: TriMesh, front_normal) -> ArchElement:
     """The ArchElement for one element, after the checks every element passes."""
     if kind not in ARCH_KINDS:
         raise SceneLoadError(f"unknown arch kind '{kind}' for element '{arch_id}'")
@@ -207,10 +200,7 @@ def _checked_arch(
         front_normal = front_normal / norm
     if kind == "wall" and front_normal is None:
         raise SceneLoadError(f"wall '{arch_id}' must declare front_normal")
-    return ArchElement(
-        id=arch_id, kind=kind, mesh=mesh, front_normal=front_normal,
-        polygon=polygon, mesh_path=mesh_path,
-    )
+    return ArchElement(id=arch_id, kind=kind, mesh=mesh, front_normal=front_normal)
 
 
 def arch_from_polygon(arch_id: str, kind: str, polygon, front_normal=None) -> ArchElement:
@@ -218,7 +208,11 @@ def arch_from_polygon(arch_id: str, kind: str, polygon, front_normal=None) -> Ar
     polygon = np.asarray(polygon, dtype=float)
     if not np.isfinite(polygon).all():
         raise SceneLoadError(f"element '{arch_id}': polygon has non-finite vertices")
-    return _checked_arch(arch_id, kind, polygon_to_mesh(polygon), front_normal, polygon=polygon)
+    try:
+        mesh = polygon_to_mesh(polygon)
+    except ValueError as exc:  # too few vertices, or no area
+        raise SceneLoadError(f"element '{arch_id}': {exc}") from exc
+    return _checked_arch(arch_id, kind, mesh, front_normal)
 
 
 def make_room(room_id: str, room_type: str, floors, walls=()) -> RoomRegion:
@@ -252,17 +246,23 @@ def _parse_transform(values) -> tuple[np.ndarray, np.ndarray]:
     return m[:, :3], m[:, 3]
 
 
+def _usable_mesh(path: Path, name: str) -> TriMesh:
+    """The mesh file at `path` without its degenerate triangles; `name` labels
+    the warning and the error."""
+    mesh, dropped = meshio.load_mesh(path).without_degenerate_triangles()
+    if dropped:
+        logger.warning("%s: dropped %d degenerate triangles", name, dropped)
+    if len(mesh) == 0:
+        raise SceneLoadError(f"mesh has no usable triangles: {name}")
+    return mesh
+
+
 def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
     obj_id = entry["id"]
     mesh_path = entry["mesh"]
     resolved = (base_dir / mesh_path).resolve()
     if resolved not in mesh_cache:
-        mesh = meshio.load_mesh(resolved)
-        mesh, dropped = mesh.without_degenerate_triangles()
-        if dropped:
-            logger.warning("%s: dropped %d degenerate triangles", mesh_path, dropped)
-        if len(mesh) == 0:
-            raise SceneLoadError(f"mesh has no usable triangles: {mesh_path}")
+        mesh = _usable_mesh(resolved, mesh_path)
         if mesh.boundary_edge_count():
             logger.warning("non-manifold mesh: %s", mesh_path)
         mesh_cache[resolved] = mesh
@@ -278,7 +278,6 @@ def _load_object(entry, base_dir: Path, mesh_cache: dict) -> ObjectInstance:
         frontless=bool(entry.get("frontless")),
         description=entry.get("description", obj_id),
         image_refs=entry.get("images", {}),
-        mesh_path=mesh_path,
     )
 
 
@@ -289,8 +288,10 @@ def _load_arch(entry, base_dir: Path) -> ArchElement:
         return arch_from_polygon(arch_id, kind, entry["polygon"], front_normal)
     if "mesh" not in entry:
         raise SceneLoadError(f"arch element '{arch_id}' needs 'polygon' or 'mesh'")
-    mesh, _ = meshio.load_mesh((base_dir / entry["mesh"]).resolve()).without_degenerate_triangles()
-    return _checked_arch(arch_id, kind, mesh, front_normal, mesh_path=entry["mesh"])
+    mesh_path = entry["mesh"]
+    # no boundary-edge warning: a planar element always has boundary edges
+    mesh = _usable_mesh((base_dir / mesh_path).resolve(), f"{mesh_path} (element '{arch_id}')")
+    return _checked_arch(arch_id, kind, mesh, front_normal)
 
 
 def _room_metrics(floor_meshes) -> tuple[np.ndarray, float]:
@@ -375,38 +376,3 @@ def load_scene(manifest_path) -> SceneInstance:
     rooms = [_load_room(e, arch_by_id) for e in manifest.get("rooms", [])]
     return SceneInstance(objects, architecture, rooms, manifest_path=manifest_path)
 
-
-def save_manifest(scene: SceneInstance, path) -> None:
-    """Write a manifest equivalent to the loaded scene (same mesh references)."""
-    doc = {"objects": [], "architecture": [], "rooms": []}
-    for o in scene.objects:
-        transform = np.hstack([o.rotation, o.translation[:, None]]).reshape(-1)
-        entry = {
-            "id": o.id,
-            "description": o.description,
-            "mesh": o.mesh_path,
-            "transform": [float(v) for v in transform],
-        }
-        if o.front_axis is None:
-            entry["frontless"] = True
-        else:
-            entry["front_axis"] = [float(v) for v in o.front_axis]
-        if o.image_refs:
-            entry["images"] = dict(o.image_refs)
-        doc["objects"].append(entry)
-    for a in scene.architecture:
-        entry = {"id": a.id, "kind": a.kind}
-        if a.polygon is not None:
-            entry["polygon"] = [[float(v) for v in p] for p in a.polygon]
-        else:
-            entry["mesh"] = a.mesh_path
-        if a.front_normal is not None:
-            entry["front_normal"] = [float(v) for v in a.front_normal]
-        doc["architecture"].append(entry)
-    for r in scene.rooms:
-        doc["rooms"].append(
-            {"id": r.id, "room_type": r.room_type, "floor_ids": list(r.floor_ids)}
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

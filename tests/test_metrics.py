@@ -3,6 +3,7 @@ import itertools
 import json
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -288,6 +289,60 @@ class TestOO:
         assert not r.passed  # side_of holds, next_to does not
 
 
+def listed_oo_tuples(assignment, mapping):
+    """`_oo_tuples` written out in full: every combination of every category
+    built, their product taken, then the anchor dropped and the cap applied."""
+    per_category = []
+    for cat, count in zip(mapping["other_categories"], mapping["other_counts"]):
+        ids = assignment.instances(cat)
+        if len(ids) < count:
+            return []
+        per_category.append(list(itertools.combinations(ids, count)))
+    tuples = []
+    for anchor_id in assignment.instances(mapping["anchor_category"]):
+        for chosen in itertools.product(*per_category):
+            group = [i for combo in chosen for i in combo if i != anchor_id]
+            if group:
+                tuples.append((anchor_id, group))
+    return tuples[: metrics.SURROUND_TUPLE_CAP]
+
+
+class TestOOTuples:
+    def test_matches_full_listing(self):
+        rng = np.random.default_rng(11)
+        names = ["a", "b", "c", "d"]
+        for _ in range(300):
+            by_category = {
+                c: [f"{c}{i}" for i in range(rng.integers(0, 5))] for c in names
+            }
+            others = list(rng.choice(names, size=rng.integers(1, 4), replace=False))
+            mapping = {
+                # the anchor's category is among the others about half the time
+                "anchor_category": str(rng.choice(others if rng.random() < 0.5 else names)),
+                "other_categories": others,
+                "other_counts": [int(rng.integers(1, 4)) for _ in others],
+            }
+            assignment = CategoryAssignment(by_category, ())
+            expected = listed_oo_tuples(assignment, mapping)
+            assert list(metrics._oo_tuples(assignment, mapping, "r")) == expected
+
+    def test_capped_stream_memory_stays_small(self):
+        # C(26, 8) = 1,562,275 groups of 8 chairs around one table
+        assignment = CategoryAssignment(
+            {"table": ["t"], "chair": [f"c{i}" for i in range(26)]}, ()
+        )
+        mapping = {"anchor_category": "table", "other_categories": ["chair"],
+                   "other_counts": [8]}
+        tracemalloc.start()
+        try:
+            produced = sum(1 for _ in metrics._oo_tuples(assignment, mapping, "around"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert produced == metrics.SURROUND_TUPLE_CAP
+        assert peak < 16 * 2**20
+
+
 class TestOA:
     def test_against_wall_passes(self):
         shelf = make_box_object("s1", [1.2, 0.4, 2.0], [3, 0.3, 1.0], description="bookshelf")
@@ -386,14 +441,13 @@ class TestSupport:
     def test_box_resting_on_floor(self):
         box = make_box_object("b", [1, 1, 1], [3, 3, 0.5], description="box")
         scene = make_room_scene(objects=[box])
-        pct, verdicts, types = eval_support(scene, MockJudge([support_row("box", "ground")]))
+        pct, verdicts = eval_support(scene, MockJudge([support_row("box", "ground")]))
         assert verdicts == {"b": True} and pct == 100.0
-        assert types == {"b": "ground"}
 
     def test_floating_box_unsupported(self):
         box = make_box_object("b", [1, 1, 1], [3, 3, 0.6], description="box")  # 0.1 m up
         scene = make_room_scene(objects=[box])
-        pct, verdicts, _ = eval_support(scene, MockJudge([support_row("box", "ground")]))
+        pct, verdicts = eval_support(scene, MockJudge([support_row("box", "ground")]))
         assert verdicts == {"b": False} and pct == 0.0
 
     def test_overhang_beyond_half_unsupported(self):
@@ -403,7 +457,7 @@ class TestSupport:
                                   [3.5 + 0.1, 3, 0.7 + 0.1], description="box")
         scene = make_room_scene(objects=[table, box])
         judge = MockJudge([support_row("table", "ground"), support_row("box", "object")])
-        pct, verdicts, _ = eval_support(scene, judge)
+        pct, verdicts = eval_support(scene, judge)
         assert verdicts["bk"] is False
 
     def test_small_overhang_supported(self):
@@ -412,20 +466,20 @@ class TestSupport:
                                   [3.5 - 0.3, 3, 0.7 + 0.1], description="box")  # 20% over
         scene = make_room_scene(objects=[table, box])
         judge = MockJudge([support_row("table", "ground"), support_row("box", "object")])
-        pct, verdicts, _ = eval_support(scene, judge)
+        pct, verdicts = eval_support(scene, judge)
         assert verdicts["bk"] is True
 
     def test_ceiling_lamp_single_contact(self):
         lamp = make_box_object("l", [0.3, 0.3, 0.4], [3, 3, 2.5 - 0.2], description="lamp")
         scene = make_room_scene(objects=[lamp], ceiling=True)
-        pct, verdicts, _ = eval_support(scene, MockJudge([support_row("lamp", "ceiling")]))
+        pct, verdicts = eval_support(scene, MockJudge([support_row("lamp", "ceiling")]))
         assert verdicts == {"l": True}
 
     def test_wall_mirror(self):
         mirror = make_box_object("m", [0.6, 0.02, 0.9], [3, 0.01, 1.5],
                                  description="mirror")  # back at y=0 wall
         scene = make_room_scene(objects=[mirror])
-        pct, verdicts, _ = eval_support(scene, MockJudge([support_row("mirror", "wall")]))
+        pct, verdicts = eval_support(scene, MockJudge([support_row("mirror", "wall")]))
         assert verdicts == {"m": True}
 
     def test_support_direction_vectors(self):
@@ -463,7 +517,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[sofa])
         judge = MockJudge([sides_row("sofa", ["front"])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
+        scores, mean = eval_accessibility(scene, occupancy, judge)
         assert scores["s"] == 1.0 and mean == 1.0
 
     def test_wardrobe_flush_blocked(self):
@@ -473,7 +527,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[w1, w2])
         judge = MockJudge([sides_row("wardrobe", ["front"]), sides_row("blocker", [])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
+        scores, mean = eval_accessibility(scene, occupancy, judge)
         assert scores["w1"] == 0.0
         assert scores["w2"] is None  # no functional sides: excluded
         assert mean == 0.0
@@ -485,7 +539,7 @@ class TestAccessibility:
         scene = make_room_scene(objects=[bed, blocker])
         judge = MockJudge([sides_row("bed", ["left", "right"]), sides_row("chest", [])])
         occupancy = scene.occupancy(CONFIG.resolution)
-        scores, mean, _ = eval_accessibility(scene, occupancy, judge)
+        scores, mean = eval_accessibility(scene, occupancy, judge)
         assert scores["b"] == 1.0  # right side is free
 
     def test_band_score_partially_blocked(self):
@@ -853,6 +907,46 @@ def distance_fixture():
     return scene, entry, MockJudge(rows)
 
 
+def surround_fixture():
+    """A table ringed by four chairs, a fifth chair apart, and two OOR specs
+    whose candidate groups come from `_oo_tuples`: a surround ring, and a
+    chair next to two chairs, where the anchor's category is among the others."""
+    chair_at = [(3.9, 3.0), (3.0, 3.9), (2.1, 3.0), (3.1, 2.0), (5.2, 5.2)]
+    objects = [
+        make_box_object("t1", [0.8, 0.8, 0.75], [3.0, 3.0, 0.375], description="table"),
+        *(
+            make_box_object(f"c{i + 1}", [0.45, 0.45, 0.9], [x, y, 0.45], description="chair")
+            for i, (x, y) in enumerate(chair_at)
+        ),
+    ]
+    scene = make_room_scene(objects=objects)
+    specs = {
+        "counts": ["eq,1,table", "eq,5,chair"],
+        "oo": ["ge,1,surround,4,chair,chair,chair,chair,table", "ge,2,next_to,0,chair,chair,chair"],
+    }
+    entry = DatasetEntry(
+        id="surround",
+        difficulty="hard",
+        description="Four chairs around a table, each next to two others, and one more chair.",
+        counts=tuple(parse_spec_line("count", l) for l in specs["counts"]),
+        attributes=(),
+        oo_relations=tuple(parse_spec_line("oo", l) for l in specs["oo"]),
+        oa_relations=(),
+    )
+    categories = ["table", "chair"]
+    rows = [
+        oo_map_row("surround", "table", ["chair"], [4], ["surround"], [None]),
+        oo_map_row("next_to", "chair", ["chair"], [2], ["next_to"], [None]),
+    ]
+    for description in categories:
+        rows += [
+            match_row(description, categories, description),
+            support_row(description, "ground"),
+            sides_row(description, ["front"]),
+        ]
+    return scene, entry, MockJudge(rows)
+
+
 # `to_dict()` of the two fixtures as scored before the bounds-first distance
 # search and the pair cache; a change that only makes scoring faster keeps them.
 FULL_FIXTURE_REPORT = {
@@ -1055,6 +1149,100 @@ DISTANCE_FIXTURE_REPORT = {
     "unmatched_objects": []
 }
 
+# `to_dict()` of the surround fixture as scored before the OOR tuples were
+# generated lazily and the surround breakdown was dropped.
+SURROUND_FIXTURE_REPORT = {
+    "acc_scores": {
+        "c1": 1.0,
+        "c2": 1.0,
+        "c3": 1.0,
+        "c4": 0.6363636363636364,
+        "c5": 1.0,
+        "t1": 0.6875
+    },
+    "colliding_pairs": [],
+    "config": {
+        "resolution": 0.05,
+        "samples": 500,
+        "seed": 7
+    },
+    "difficulty": "hard",
+    "entry_id": "surround",
+    "errors": {},
+    "judge_transcript_hash": "bf76a5ddd4fab2aff40e2b18c3da99a7f50502b26adf1d76778ef23d780e0e0d",
+    "metrics": {
+        "acc": 0.8873106060606061,
+        "atr": None,
+        "cnt": 100.0,
+        "col_ob": 0.0,
+        "col_sc": 0.0,
+        "nav": 1.0,
+        "oar": None,
+        "oob": 0.0,
+        "oor": 100.0,
+        "sup": 100.0
+    },
+    "nav_detail": {
+        "degenerate": False,
+        "largest": 13135,
+        "total_free": 13135
+    },
+    "oob_flags": {
+        "c1": False,
+        "c2": False,
+        "c3": False,
+        "c4": False,
+        "c5": False,
+        "t1": False
+    },
+    "scene_id": "surround",
+    "specs": {
+        "atr": [],
+        "cnt": [
+            {
+                "candidate_count": 1,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "eq,1,table"
+            },
+            {
+                "candidate_count": 5,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 5,
+                "spec": "eq,5,chair"
+            }
+        ],
+        "oar": [],
+        "oor": [
+            {
+                "candidate_count": 5,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 1,
+                "spec": "ge,1,surround,4,chair,chair,chair,chair,table"
+            },
+            {
+                "candidate_count": 50,
+                "passed": True,
+                "reason": "",
+                "satisfied_count": 12,
+                "spec": "ge,2,next_to,0,chair,chair,chair"
+            }
+        ]
+    },
+    "sup_verdicts": {
+        "c1": True,
+        "c2": True,
+        "c3": True,
+        "c4": True,
+        "c5": True,
+        "t1": True
+    },
+    "unmatched_objects": []
+}
+
 
 def count_mesh_pair_tests(monkeypatch):
     """Count mesh_pair_intersects calls per unordered pair of meshes."""
@@ -1132,7 +1320,11 @@ class TestPairCache:
 
     @pytest.mark.parametrize(
         "fixture,expected",
-        [(full_fixture, FULL_FIXTURE_REPORT), (distance_fixture, DISTANCE_FIXTURE_REPORT)],
+        [
+            (full_fixture, FULL_FIXTURE_REPORT),
+            (distance_fixture, DISTANCE_FIXTURE_REPORT),
+            (surround_fixture, SURROUND_FIXTURE_REPORT),
+        ],
     )
     def test_reports_unchanged(self, fixture, expected):
         scene, entry, judge = fixture()

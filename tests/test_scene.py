@@ -5,13 +5,12 @@ import pytest
 
 from conftest import build_cube_glb, rot_z
 from scenescore.meshio import MeshLoadError, load_mesh, write_obj
-from scenescore.geometry import box_mesh
+from scenescore.geometry import TriMesh, box_mesh
 from scenescore.scene import (
     SceneLoadError,
     arch_from_polygon,
     load_scene,
     object_from_mesh,
-    save_manifest,
     world_front_vector,
 )
 
@@ -136,6 +135,27 @@ class TestLoadScene:
         with pytest.raises(SceneLoadError, match=f"element '{wall_id}': polygon has non-finite"):
             load_scene(b.write())
 
+    @pytest.mark.parametrize("polygon,message", [
+        ([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], "degenerate polygon"),
+        ([[0, 0, 0], [1, 0, 0]], "polygon needs at least 3 vertices"),
+    ], ids=["collinear", "two-vertices"])
+    def test_degenerate_polygon_names_element(self, polygon, message):
+        with pytest.raises(SceneLoadError, match=f"element 'f': {message}"):
+            arch_from_polygon("f", "floor", polygon)
+
+    @pytest.mark.parametrize("room", [True, False], ids=["with-room", "without-room"])
+    def test_all_degenerate_arch_mesh_names_element(self, scene_builder, room):
+        b = scene_builder()
+        if room:  # the wall-attachment search reads the wall's mesh
+            b.add_room(walls=False)
+        sliver = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), np.array([[0, 1, 2]]))
+        write_obj(b.root / "meshes" / "sliver.obj", sliver)
+        b.add_arch({"id": "w", "kind": "wall", "mesh": "meshes/sliver.obj",
+                    "front_normal": [0, 1, 0]})
+        message = r"no usable triangles: meshes/sliver.obj \(element 'w'\)"
+        with pytest.raises(SceneLoadError, match=message):
+            load_scene(b.write())
+
     @pytest.mark.parametrize("normal", [[float("nan"), 1, 0], [0, float("inf"), 0]],
                              ids=["nan", "inf"])
     def test_non_finite_front_normal_rejected(self, scene_builder, normal):
@@ -231,23 +251,6 @@ class TestObbInvariants:
         b.add_box("obj", [2.0, 1.0, 0.5], center=[3, 3, 0.25], yaw=90.0)
         obj = load_scene(b.write()).objects[0]
         assert obj.obb.footprint_sides() == pytest.approx((2.0, 1.0))
-
-
-class TestRoundTrip:
-    def test_save_reload_identical_obbs(self, scene_builder, tmp_path):
-        b = scene_builder()
-        b.add_room(ceiling=True)
-        b.add_box("a", [1.5, 0.7, 0.8], center=[2, 2, 0.4], yaw=12.5)
-        b.add_box("c", [0.4, 0.4, 1.9], center=[4.4, 1.2, 0.95], yaw=-77.0, frontless=True)
-        scene = load_scene(b.write())
-        out = b.root / "resaved.json"
-        save_manifest(scene, out)
-        reloaded = load_scene(out)
-        assert [o.id for o in reloaded.objects] == [o.id for o in scene.objects]
-        for a, c in zip(scene.objects, reloaded.objects):
-            np.testing.assert_allclose(a.obb.center, c.obb.center, atol=1e-9)
-            np.testing.assert_allclose(a.obb.axes, c.obb.axes, atol=1e-9)
-            np.testing.assert_allclose(a.obb.half_extents, c.obb.half_extents, atol=1e-9)
 
 
 class TestMeshIO:
